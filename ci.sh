@@ -23,12 +23,13 @@
 #                so skip it on hosts the baselines weren't measured on).
 #   MIRI=1       additionally run the nn kernel/thread-pool suite under miri
 #                to catch undefined behaviour in the unsafe SIMD microkernel
-#                layer (`nn::gemm`/`nn::quant` — see the unsafe census in
-#                analyze-policy.toml). Slow tests opt out via
+#                layer and the pool's fork-join (`nn::gemm`/`nn::quant`/
+#                `nn::parallel` — see the unsafe census in analyze-policy.toml). Slow tests opt out via
 #                #[cfg_attr(miri, ignore)]; a dedicated miri-sized parity
 #                test stays in.
-#   TSAN=1       additionally run the threaded suites (nn thread pool, the
-#                map_recorded replay-determinism test) under ThreadSanitizer.
+#   TSAN=1       additionally run the threaded suites (the nn pool unit
+#                tests, the avsim replay-determinism test and the serve and
+#                avsim pool-reuse tests) under ThreadSanitizer.
 #                Needs a nightly toolchain with the rust-src component
 #                (-Zbuild-std); skips gracefully when unavailable.
 set -euo pipefail
@@ -224,8 +225,8 @@ gate_perf() {
   # Perf-regression gate: re-measure the benchmark summaries and fail when
   # any tracked metric loses >25% of its committed-baseline throughput, when
   # an absolute NN invariant breaks (int8 fast path below the 4× floor, the
-  # Auto conv router losing to a fixed path, negative multi-core GEMM
-  # scaling), or when the serve summary's deterministic accounting drifts
+  # Auto conv router losing to a fixed path, negative multi-core GEMM or 3v
+  # perception scaling), or when the serve summary's deterministic accounting drifts
   # from the committed baseline.
   if [[ "${PERF_GATE:-1}" != "1" ]]; then
     echo "PERF_GATE=0: skipping the perf-regression gate"
@@ -246,12 +247,15 @@ gate_tsan() {
        | grep -q '^rust-src.*(installed)'; then
     local host_target
     host_target=$(rustc -vV | sed -n 's/^host: //p')
-    echo "== tsan: nn thread pool + map_recorded replay determinism =="
+    echo "== tsan: nn thread pool + avsim/serve pool users =="
     RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q \
       -Zbuild-std --target "$host_target" -p mvml-nn --lib --tests
     RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q \
       -Zbuild-std --target "$host_target" -p mvml-avsim --lib \
       replay_is_identical_for_any_thread_count
+    RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q \
+      -Zbuild-std --target "$host_target" -p mvml-avsim -p mvml-serve \
+      --test pool_reuse
   else
     echo "TSAN requested but nightly + rust-src are unavailable; skipping." >&2
     echo "(install with: rustup toolchain install nightly --component rust-src)" >&2

@@ -10,7 +10,7 @@ use mvml_core::watchdog::{FaultEvent, FaultEventKind, FaultLog, Watchdog, Watchd
 use mvml_core::{ModuleState, Verdict};
 use mvml_faultinject::{corrupt_in_place, random_weight_inj, RuntimeFault, RuntimeFaultPlan};
 use mvml_nn::layer::Layer;
-use mvml_nn::parallel::ThreadPool;
+use mvml_nn::parallel;
 use mvml_nn::{ModelState, Sequential, Tensor};
 use mvml_obs::{GuardVerdict, Recorder, TelemetryEvent, Timing, VoterOutcome, VotingRule};
 use rand::rngs::StdRng;
@@ -139,7 +139,7 @@ pub struct DetectorBank {
 
 impl DetectorBank {
     /// Trains the three YOLO-mini variants (s/m/l analogues), fanned out
-    /// across [`ThreadPool`] workers (`MVML_THREADS`). Each variant trains
+    /// over the shared pool ([`parallel::map`]). Each variant trains
     /// from its own seed with no shared mutable state, so the resulting
     /// bank is identical for any thread count.
     pub fn train(cfg: &DetectorTrainConfig) -> Self {
@@ -148,7 +148,7 @@ impl DetectorBank {
             .enumerate()
             .map(|(i, (name, channels))| (i, *name, *channels))
             .collect();
-        let models = ThreadPool::new().map(jobs, |(i, name, channels)| {
+        let models = parallel::map(jobs, |(i, name, channels)| {
             let mut m = yolo_mini(name, channels, cfg.seed + i as u64);
             let _ = train_detector(&mut m, cfg);
             m
@@ -407,7 +407,7 @@ impl MultiVersionPerception {
         // (and sequence numbers) never depend on scheduling.
         let threshold = self.cfg.threshold;
         let timed = self.recorder.enabled();
-        let outputs = ThreadPool::new().map_recorded(
+        let outputs = parallel::map_recorded(
             &self.recorder,
             "perception-fanout",
             jobs,

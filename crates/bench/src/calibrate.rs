@@ -7,7 +7,7 @@ use mvml_core::SystemParams;
 use mvml_faultinject::{random_weight_inj, undo};
 use mvml_nn::metrics::{alpha_mean, alpha_pair, error_set};
 use mvml_nn::models::three_versions;
-use mvml_nn::parallel::ThreadPool;
+use mvml_nn::parallel;
 use mvml_nn::signs::{generate, SignConfig};
 use mvml_nn::train::{train_classifier, TrainConfig};
 use mvml_nn::{Dataset, Sequential};
@@ -136,10 +136,10 @@ pub fn calibrate(cfg: &CalibrationConfig) -> Calibration {
 
     let models = three_versions(cfg.sign.image_size, cfg.sign.classes, cfg.train.seed);
     // Each version trains and seed-searches independently against the shared
-    // (read-only) datasets, so the three calibrations fan out across
-    // `MVML_THREADS` workers; `ThreadPool::map` preserves model order, so
-    // the result is identical for any thread count.
-    let calibrated = ThreadPool::new().map(models, |mut model| {
+    // (read-only) datasets, so the three calibrations fan out over the
+    // shared pool; `parallel::map` preserves model order, so the result is
+    // identical for any thread count.
+    let calibrated = parallel::map(models, |mut model| {
         let name = model.model_name().to_string();
         let _ = train_classifier(&mut model, &train, &cfg.train);
         let errors = error_set(&mut model, &test, cfg.batch);

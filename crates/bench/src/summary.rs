@@ -568,6 +568,8 @@ pub const INT8_MIN_SPEEDUP: f64 = 4.0;
 /// - **GEMM thread scaling**: on multi-core hosts, the 256³ GEMM must not
 ///   get slower going from one to two workers (beyond tolerance).
 ///   Single-core hosts skip this: extra threads can only oversubscribe.
+/// - **3v perception scaling**: likewise, three-version perception FPS
+///   must not fall going from one to two workers (beyond tolerance).
 // The negated comparisons are deliberate: a NaN measurement must FAIL the
 // gate, and the de-negated forms (`a < b`) would silently pass it.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -613,17 +615,34 @@ pub fn nn_absolute_checks(base: &NnSummary, fresh: &NnSummary, tol: f64) -> Vec<
     }
 
     if fresh.host_cores > 1 {
-        let at = |t: usize| {
+        let gemm_at = |t: usize| {
             fresh
                 .gemm_256x256x256
                 .iter()
                 .find(|r| r.threads == t)
                 .map(|r| r.ns_per_iter)
         };
-        if let (Some(one), Some(two)) = (at(1), at(2)) {
+        if let (Some(one), Some(two)) = (gemm_at(1), gemm_at(2)) {
             if !(two <= one / (1.0 - tol)) {
                 failures.push(format!(
                     "gemm 256^3 scales negatively: {one:.0} ns @1t -> {two:.0} ns @2t \
+                     on a {}-core host (beyond {:.0}% tolerance)",
+                    fresh.host_cores,
+                    100.0 * tol
+                ));
+            }
+        }
+        let fps_at = |t: usize| {
+            fresh
+                .perception_fps
+                .iter()
+                .find(|r| r.threads == t)
+                .map(|r| r.three_v_fps)
+        };
+        if let (Some(one), Some(two)) = (fps_at(1), fps_at(2)) {
+            if !(two >= (1.0 - tol) * one) {
+                failures.push(format!(
+                    "3v perception scales negatively: {one:.0} fps @1t -> {two:.0} fps @2t \
                      on a {}-core host (beyond {:.0}% tolerance)",
                     fresh.host_cores,
                     100.0 * tol
@@ -798,6 +817,11 @@ mod tests {
     /// checks: f32 1v @1t = 100 fps, int8 healthy at 4.6x, Auto routing
     /// to the winning conv path, flat thread scaling.
     fn v2(int8_fps: f64, auto_ns: f64, gemm2t_ns: f64) -> NnSummary {
+        v2_with_3v_at_2t(int8_fps, auto_ns, gemm2t_ns, 45.0)
+    }
+
+    /// [`v2`] with an explicit 3v FPS at two workers (40 fps at one).
+    fn v2_with_3v_at_2t(int8_fps: f64, auto_ns: f64, gemm2t_ns: f64, fps_2t: f64) -> NnSummary {
         NnSummary {
             host_cores: 4,
             default_threads: 4,
@@ -819,12 +843,20 @@ mod tests {
                     ns_per_iter: gemm2t_ns,
                 },
             ],
-            perception_fps: vec![PerceptionRow {
-                threads: 1,
-                single_v_fps: 100.0,
-                three_v_fps: 40.0,
-                three_v_cost_factor: 2.5,
-            }],
+            perception_fps: vec![
+                PerceptionRow {
+                    threads: 1,
+                    single_v_fps: 100.0,
+                    three_v_fps: 40.0,
+                    three_v_cost_factor: 2.5,
+                },
+                PerceptionRow {
+                    threads: 2,
+                    single_v_fps: 100.0,
+                    three_v_fps: fps_2t,
+                    three_v_cost_factor: 100.0 / fps_2t,
+                },
+            ],
             perception_int8: Some(Int8PerceptionRow {
                 single_v_fps: int8_fps,
                 three_v_fps: int8_fps / 3.0,
@@ -874,6 +906,25 @@ mod tests {
         // The same numbers on a single-core host: oversubscription is
         // expected, the check does not apply.
         let mut single_core = v2(460.0, 1010.0, 1400.0);
+        single_core.host_cores = 1;
+        assert!(nn_absolute_checks(&base, &single_core, 0.25).is_empty());
+    }
+
+    #[test]
+    fn absolute_checks_catch_negative_3v_perception_scaling() {
+        let base = v2(460.0, 1010.0, 900.0);
+        // 40 fps @1t: 30 fps @2t is exactly the 25% tolerance, 29 beyond.
+        let edge = v2_with_3v_at_2t(460.0, 1010.0, 900.0, 30.0);
+        assert!(nn_absolute_checks(&base, &edge, 0.25).is_empty());
+        let negative = v2_with_3v_at_2t(460.0, 1010.0, 900.0, 29.0);
+        let fails = nn_absolute_checks(&base, &negative, 0.25);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("3v perception"), "{fails:?}");
+        // A NaN measurement fails rather than vacuously passing.
+        let nan = v2_with_3v_at_2t(460.0, 1010.0, 900.0, f64::NAN);
+        assert_eq!(nn_absolute_checks(&base, &nan, 0.25).len(), 1);
+        // Single-core hosts skip the check, as for GEMM scaling.
+        let mut single_core = negative;
         single_core.host_cores = 1;
         assert!(nn_absolute_checks(&base, &single_core, 0.25).is_empty());
     }

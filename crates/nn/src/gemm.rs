@@ -15,13 +15,13 @@
 //!
 //! - **Packed path**: `B` is packed once into `NR`-column panels shared by
 //!   every worker, then `MR`-row blocks of `A` are packed and multiplied.
-//!   The parallel driver fans *row blocks* out over threads against the
-//!   shared packed `B` — workers never re-pack each other's panels, which
+//!   The parallel driver fans *row blocks* out over the pool against the
+//!   shared packed `B` — tasks never re-pack each other's panels, which
 //!   is what restores 1→2 thread scaling on panel-bound shapes.
 //! - **Stream path** (small `m`, row-major `B`): with at most
 //!   [`crate::tune::Tuning::stream_max_rows`] output rows, every packed
 //!   `B` panel would be used once — pure overhead. The microkernel instead
-//!   reads `B` directly at row stride `n`, and threads fan out over
+//!   reads `B` directly at row stride `n`, and tasks fan out over
 //!   *column ranges* of `C`. This is the shape class of inference-time
 //!   im2col convolutions (`M` = a handful of output channels), where the
 //!   old always-pack kernel lost to the direct loops.
@@ -48,7 +48,7 @@
 //! path/parallel thresholds are tunable ([`crate::tune`]): they only move
 //! work between cache blocks and threads, never reorder a dot product.
 
-// The one crate module where `unsafe` is allowed (see `lib.rs`): the
+// One of the crate modules where `unsafe` is allowed (see `lib.rs`): the
 // `std::arch` microkernels and the disjoint-column-stripe writes below.
 #![allow(unsafe_code)]
 
@@ -364,7 +364,7 @@ fn driver(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>, c: &mut [f32], a
     let threads = if work < t.parallel_macs {
         1
     } else {
-        parallel::thread_count()
+        parallel::budget()
     };
 
     if !b.transposed && m <= t.stream_max_rows {
@@ -381,17 +381,11 @@ fn driver(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>, c: &mut [f32], a
     // Round row chunks up to MR so tile boundaries stay aligned and no
     // worker gets an empty range. Workers share the read-only packed B.
     let rows_per = m.div_ceil(threads).div_ceil(MR) * MR;
-    let bp = &bp;
-    crossbeam::thread::scope(|scope| {
-        for (chunk_idx, c_rows) in c.chunks_mut(rows_per * n).enumerate() {
-            let row0 = chunk_idx * rows_per;
-            let rows = c_rows.len() / n;
-            scope.spawn(move |_| {
-                multiply_rows(kernel, rows, row0, k, n, a, bp, c_rows, t.mc);
-            });
-        }
-    })
-    .expect("gemm worker panicked");
+    let mut chunks: Vec<&mut [f32]> = c.chunks_mut(rows_per * n).collect();
+    parallel::for_each_mut(&mut chunks, |chunk_idx, c_rows| {
+        let (row0, rows) = (chunk_idx * rows_per, c_rows.len() / n);
+        multiply_rows(kernel, rows, row0, k, n, a, &bp, c_rows, t.mc);
+    });
 }
 
 /// All of `B`, packed once into `NR`-column panels grouped by
@@ -597,40 +591,29 @@ fn stream_driver(
         return;
     }
 
-    /// Raw base pointer of `C`, shared across workers that write disjoint
+    /// Raw base pointer of `C`, shared across tasks that write disjoint
     /// column ranges.
-    struct SendPtr(*mut f32);
-    // SAFETY: every worker below writes only `C[r*n + j]` for `j` inside
+    struct SharedPtr(*mut f32);
+    // SAFETY: every task below writes only `C[r*n + j]` for `j` inside
     // its own disjoint `[j_lo, j_hi)` range, so sharing the base pointer
-    // across scoped threads cannot produce an aliasing write.
-    unsafe impl Send for SendPtr {}
-    // SAFETY: as above — the shared reference is only used to copy the
-    // base pointer into each worker's disjoint-range writes.
-    unsafe impl Sync for SendPtr {}
-    impl SendPtr {
+    // across threads cannot produce an aliasing write.
+    unsafe impl Sync for SharedPtr {}
+    impl SharedPtr {
         fn get(&self) -> *mut f32 {
             self.0
         }
     }
 
     let cols_per = n.div_ceil(threads).div_ceil(NR) * NR;
-    let c_base = SendPtr(c.as_mut_ptr());
-    let a_pack = &a_pack;
-    let c_base = &c_base;
-    crossbeam::thread::scope(|scope| {
-        let mut j_lo = 0usize;
-        while j_lo < n {
-            let j_hi = (j_lo + cols_per).min(n);
-            scope.spawn(move |_| {
-                // SAFETY: `[j_lo, j_hi)` ranges are disjoint across workers
-                // and within [0, n); the scoped spawn keeps the borrow of C
-                // alive for the thread's lifetime.
-                unsafe { stream_cols(kernel, m, k, n, a_pack, b, c_base.get(), j_lo, j_hi) };
-            });
-            j_lo = j_hi;
-        }
-    })
-    .expect("gemm worker panicked");
+    let c_base = SharedPtr(c.as_mut_ptr());
+    parallel::for_each(n.div_ceil(cols_per), |chunk| {
+        let j_lo = chunk * cols_per;
+        let j_hi = (j_lo + cols_per).min(n);
+        // SAFETY: `[j_lo, j_hi)` ranges are disjoint across tasks and
+        // within [0, n); the fork-join returns only after every task has,
+        // so the exclusive borrow of C outlives every write.
+        unsafe { stream_cols(kernel, m, k, n, &a_pack, b, c_base.get(), j_lo, j_hi) };
+    });
 }
 
 /// Stream-path worker: adds `A·B` contributions into the column range

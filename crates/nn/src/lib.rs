@@ -31,10 +31,11 @@
 //! let _accuracy = evaluate_accuracy(&mut model, &test, 32);
 //! ```
 
-// Unsafe is denied crate-wide and allowed back in exactly one place: the
-// SIMD microkernels in `gemm`, where every unsafe token carries a
-// `// SAFETY:` contract and the analyzer's R3 inventory pins the exact
-// count per module (`analyze-policy.toml`).
+// Unsafe is denied crate-wide and allowed back in three modules: the SIMD
+// microkernels in `gemm` and `quant`, and the lifetime-erased fork-join in
+// `parallel`. Every unsafe token carries a `// SAFETY:` contract and the
+// analyzer's R3 inventory pins the exact count per module
+// (`analyze-policy.toml`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 // The substrate's expect/panic sites are documented layer contracts

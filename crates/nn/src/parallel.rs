@@ -1,15 +1,37 @@
-//! Deterministic fan-out helpers for the compute-heavy outer loops.
+//! One persistent thread pool with a process-wide parallelism budget.
 //!
-//! The thread count is controlled by the `MVML_THREADS` environment variable
-//! (falling back to the machine's available parallelism), so benchmark and
-//! table-regeneration runs are reproducible: every parallelized loop in this
-//! workspace partitions work so that **results are identical for any thread
-//! count** — threads only change which worker computes which disjoint slice,
-//! never the accumulation order within a slice.
+//! Every fan-out — GEMM panels, perception versions, case-study routes,
+//! calibration models, serve shards — runs on one pool of long-lived
+//! workers. It starts lazily, so a process that never fans out never
+//! spawns a thread, and grows to what the largest fan-out asked for; after
+//! warm-up it spawns nothing ([`threads_started`] observes this).
+//!
+//! **One budget.** A top-level fan-out may use [`thread_count`] threads
+//! (`MVML_THREADS`, else the detected cores). Inside a fan-out the budget
+//! is spent: pool workers, and a caller while it runs its own share of a
+//! fork-join, have a [`budget`] of 1, so nested fan-outs run inline.
+//! Nothing oversubscribes, and no worker waits on tasks queued behind it.
+//!
+//! **Two entry points.** Fork-join over borrowed closures ([`for_each`],
+//! [`for_each_mut`], [`map`], [`map_recorded`]): the caller claims tasks
+//! alongside up to `budget − 1` workers, and a panicking task re-raises on
+//! the caller once every sibling has finished. [`run_all`]: jobs on pool
+//! workers only, each panic returned as [`PoolError::WorkerPanicked`].
+//!
+//! **Determinism.** A fan-out's partition depends only on the budget,
+//! never on which thread runs a task, so results are identical for any
+//! thread count.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+// The fork-join lends a borrowed closure to `'static` pool jobs; the
+// lifetime erasure and the raw-pointer handoff are the only unsafe here.
+#![allow(unsafe_code)]
+
+use std::any::Any;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Process-wide override installed by [`with_thread_count`]; 0 = none.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -18,24 +40,43 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// on the override.
 static OVERRIDE_GUARD: Mutex<()> = Mutex::new(());
 
-/// The number of worker threads compute kernels should use.
+/// The process's thread budget: how many threads a top-level fan-out may
+/// use, counting the caller.
 ///
 /// Resolution order: an active [`with_thread_count`] override, then the
 /// `MVML_THREADS` environment variable (a positive integer), then the
-/// machine's available parallelism.
+/// machine's available parallelism. The last two are read once per
+/// process: `available_parallelism` reads cgroup files on every call,
+/// which costs more than the GEMMs this decides about.
 pub fn thread_count() -> usize {
     let forced = OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    if let Ok(raw) = std::env::var("MVML_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("MVML_THREADS")
+            .ok()
+            .and_then(|raw| raw.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// Threads a fan-out issued from the current thread may use: 1 inside a
+/// fan-out (the budget is already spent), [`thread_count`] elsewhere.
+pub fn budget() -> usize {
+    if IN_FANOUT.with(Cell::get) {
+        1
+    } else {
+        thread_count()
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// OS threads the pool has started since the process began. Observe-only:
+/// it lets tests assert that steady-state work spawns nothing.
+pub fn threads_started() -> usize {
+    lock(&QUEUE).workers
 }
 
 /// The canonical worker-count ladder benchmark sweeps measure at: `1, 2, 4`
@@ -60,7 +101,10 @@ pub fn bench_thread_sweep() -> Vec<usize> {
 thread_local! {
     /// True while this thread is inside [`with_thread_count`], making
     /// nested calls skip the (non-reentrant) guard mutex.
-    static HOLDING_GUARD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static HOLDING_GUARD: Cell<bool> = const { Cell::new(false) };
+    /// True on pool workers, and on a caller while it runs its share of a
+    /// fork-join: the budget is spent, so nested fan-outs run inline.
+    static IN_FANOUT: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Restores the previous override even if the wrapped closure panics.
@@ -88,7 +132,7 @@ pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let _guard = if nested {
         None
     } else {
-        Some(OVERRIDE_GUARD.lock().unwrap_or_else(|e| e.into_inner()))
+        Some(lock(&OVERRIDE_GUARD))
     };
     let _restore = RestoreOverride {
         previous: OVERRIDE.swap(n, Ordering::SeqCst),
@@ -97,358 +141,336 @@ pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// A scoped fan-out pool over a fixed number of workers.
-///
-/// Not a persistent pool: workers are scoped threads spawned per call,
-/// which keeps the implementation safe-Rust and borrow-friendly (closures
-/// may borrow from the caller's stack). With one worker every method runs
-/// inline on the calling thread, so `MVML_THREADS=1` gives a genuinely
-/// serial, easily-profiled execution.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadPool {
+/// Locks `m`, ignoring poison: tasks run under `catch_unwind`, and every
+/// critical section here leaves its data consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The pool: one job queue, and the count of workers serving it (they
+/// live as long as the process).
+struct Queue {
+    jobs: VecDeque<Job>,
     workers: usize,
 }
 
-impl ThreadPool {
-    /// A pool sized by [`thread_count`].
-    pub fn new() -> Self {
-        ThreadPool {
-            workers: thread_count(),
-        }
-    }
+static QUEUE: Mutex<Queue> = Mutex::new(Queue {
+    jobs: VecDeque::new(),
+    workers: 0,
+});
+static READY: Condvar = Condvar::new();
 
-    /// A pool with an explicit worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        assert!(workers > 0, "worker count must be positive");
-        ThreadPool { workers }
-    }
-
-    /// Number of workers this pool fans out to.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Applies `f` to every item, in parallel across workers, returning
-    /// results in input order. Items are split into contiguous chunks (one
-    /// per worker), so output order never depends on scheduling.
-    pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let total = items.len();
-        if self.workers == 1 || total <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        let chunk = total.div_ceil(self.workers);
-        let mut chunks: Vec<Vec<I>> = Vec::new();
-        let mut items = items;
-        while !items.is_empty() {
-            let rest = items.split_off(items.len().min(chunk));
-            chunks.push(items);
-            items = rest;
-        }
-        let f = &f;
-        let mut gathered: Vec<Vec<T>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| scope.spawn(move |_| chunk.into_iter().map(f).collect::<Vec<T>>()))
-                .collect();
-            for handle in handles {
-                gathered.push(handle.join().expect("pool worker panicked"));
-            }
-        })
-        .expect("pool scope");
-        gathered.into_iter().flatten().collect()
-    }
-
-    /// [`ThreadPool::map`] with telemetry: emits one
-    /// [`mvml_obs::TelemetryEvent::PoolRun`] per call, timing the whole
-    /// fan-out (queueing/chunking plus execution) as one span. Results are
-    /// identical to `map` — the recorder is observe-only, and with a
-    /// disabled recorder no clock is read and no event is built.
-    pub fn map_recorded<I, T, F>(
-        &self,
-        recorder: &mvml_obs::Recorder,
-        label: &str,
-        items: Vec<I>,
-        f: F,
-    ) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let span = recorder.span();
-        let count = items.len();
-        let out = self.map(items, f);
-        recorder.emit_timed(span.stop(), || mvml_obs::TelemetryEvent::PoolRun {
-            label: label.to_string(),
-            items: count,
-            workers: self.workers,
-        });
-        out
-    }
-
-    /// Applies `f` to every element of `items` in place, in parallel across
-    /// workers. Each element is touched by exactly one worker.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let total = items.len();
-        if self.workers == 1 || total <= 1 {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            return;
-        }
-        let chunk = total.div_ceil(self.workers);
-        let f = &f;
-        crossbeam::thread::scope(|scope| {
-            for (c, slice) in items.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
-                    for (i, item) in slice.iter_mut().enumerate() {
-                        f(c * chunk + i, item);
-                    }
-                });
-            }
-        })
-        .expect("pool scope");
-    }
-}
-
-impl Default for ThreadPool {
-    fn default() -> Self {
-        ThreadPool::new()
-    }
-}
-
-/// Typed failure of a [`WorkerPool`] job.
+/// Grows the pool to at least `workers` threads, then queues `jobs`.
 ///
-/// The scoped [`ThreadPool`] joins its workers per call, so a worker panic
-/// there unwinds straight into the caller. The persistent pool cannot do
-/// that — the submitter may be a different thread, and a long-running
-/// service must survive a poisoned job — so panics are caught at the job
-/// boundary and *propagated to the submitter as a value* instead of
-/// poisoning the worker or hanging the join.
+/// # Panics
+///
+/// Panics if the OS refuses to start a worker.
+fn push(workers: usize, jobs: impl Iterator<Item = Job>) {
+    let mut queue = lock(&QUEUE);
+    while queue.workers < workers {
+        let id = queue.workers;
+        // Never joined: workers live as long as the process, and every job
+        // catches its own panics, so there is no result to collect.
+        std::thread::Builder::new()
+            .name(format!("mvml-pool-{id}"))
+            .spawn(work)
+            .unwrap_or_else(|e| panic!("spawning pool worker {id}: {e}"));
+        queue.workers += 1;
+    }
+    let before = queue.jobs.len();
+    queue.jobs.extend(jobs);
+    let added = queue.jobs.len() - before;
+    drop(queue);
+    for _ in 0..added {
+        READY.notify_one();
+    }
+}
+
+/// A worker's whole life: take the next job, run it, repeat.
+fn work() {
+    IN_FANOUT.with(|f| f.set(true));
+    loop {
+        let mut queue = lock(&QUEUE);
+        let job = loop {
+            match queue.jobs.pop_front() {
+                Some(job) => break job,
+                None => queue = READY.wait(queue).unwrap_or_else(PoisonError::into_inner),
+            }
+        };
+        drop(queue);
+        job();
+    }
+}
+
+/// Lifetime-erased pointer to a fan-out's task closure.
+struct TaskPtr(*const (dyn Fn(usize) + Sync + 'static));
+
+// SAFETY: the pointee is `Sync`, so calling it from any thread is sound;
+// `FanOut::drain` dereferences it only for a claimed index, and the
+// issuing call keeps the closure alive until every claimed index is done.
+unsafe impl Send for TaskPtr {}
+// SAFETY: as above — shared access only ever calls the `Sync` closure.
+unsafe impl Sync for TaskPtr {}
+
+/// One fan-out: indices `0..total`, each claimed once by whichever
+/// participant (caller or pool runner) gets there first.
+struct FanOut {
+    task: TaskPtr,
+    total: usize,
+    next: AtomicUsize,
+    /// Finished indices, and the first panic payload a task raised.
+    progress: Mutex<(usize, Option<Box<dyn Any + Send>>)>,
+    finished: Condvar,
+}
+
+impl FanOut {
+    /// Claims and runs indices until none are left. A runner that arrives
+    /// after the last claim returns without touching the task.
+    fn drain(&self) {
+        let outer = IN_FANOUT.with(|f| f.replace(true));
+        loop {
+            // Relaxed: a claim publishes nothing; task results reach the
+            // caller through the `progress` mutex.
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.total {
+                break;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                // SAFETY: index `i < total` is claimed and not yet counted
+                // as done, so the issuing `run` is still blocked in its wait
+                // and the closure it borrowed is alive.
+                unsafe { (*self.task.0)(i) }
+            }));
+            let mut progress = lock(&self.progress);
+            progress.0 += 1;
+            if let Err(payload) = outcome {
+                progress.1.get_or_insert(payload);
+            }
+            if progress.0 == self.total {
+                self.finished.notify_all();
+            }
+        }
+        IN_FANOUT.with(|f| f.set(outer));
+    }
+
+    /// Runs `task(i)` for every `i < total` on `runners` pool workers, plus
+    /// the caller when `caller_helps`, and returns once every index has
+    /// finished — with the first panic payload, if any task panicked.
+    fn run(
+        total: usize,
+        runners: usize,
+        caller_helps: bool,
+        task: &(dyn Fn(usize) + Sync),
+    ) -> Option<Box<dyn Any + Send>> {
+        // SAFETY: only the lifetime changes (same fat-pointer layout); every
+        // claimed index finishes before the wait below returns, and runners
+        // arriving after the last claim never dereference the pointer.
+        let task = unsafe {
+            std::mem::transmute::<
+                *const (dyn Fn(usize) + Sync + '_),
+                *const (dyn Fn(usize) + Sync + 'static),
+            >(task)
+        };
+        let fan = Arc::new(FanOut {
+            task: TaskPtr(task),
+            total,
+            next: AtomicUsize::new(0),
+            progress: Mutex::new((0, None)),
+            finished: Condvar::new(),
+        });
+        push(
+            runners,
+            (0..runners).map(|_| {
+                let fan = Arc::clone(&fan);
+                Box::new(move || fan.drain()) as Job
+            }),
+        );
+        if caller_helps {
+            fan.drain();
+        }
+        let mut progress = lock(&fan.progress);
+        while progress.0 < total {
+            progress = fan
+                .finished
+                .wait(progress)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        progress.1.take()
+    }
+}
+
+/// Fork-join: runs `f(i)` for every `i < tasks`, the caller working
+/// alongside up to `budget() − 1` pool workers; inline when either is 1.
+///
+/// # Panics
+///
+/// Re-raises the first panic of any `f` call, after every other call has
+/// finished.
+pub fn for_each<F>(tasks: usize, f: F)
+where
+    F: Fn(usize) + Sync,
+{
+    let threads = budget().min(tasks);
+    if threads <= 1 {
+        (0..tasks).for_each(f);
+    } else if let Some(payload) = FanOut::run(tasks, threads - 1, true, &f) {
+        resume_unwind(payload);
+    }
+}
+
+/// Fork-join: applies `f(i, &mut items[i])` to every element, each touched
+/// exactly once (see [`for_each`]).
+///
+/// # Panics
+///
+/// As [`for_each`].
+pub fn for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    if budget() == 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
+    }
+    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    for_each(slots.len(), |i| f(i, &mut lock(&slots[i])));
+}
+
+/// Fork-join: applies `f` to every item, returning results in input order
+/// (see [`for_each`]).
+///
+/// # Panics
+///
+/// As [`for_each`].
+pub fn map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    let mut slots: Vec<(Option<I>, Option<T>)> =
+        items.into_iter().map(|item| (Some(item), None)).collect();
+    for_each_mut(&mut slots, |_, (item, out)| {
+        *out = item.take().map(&f);
+    });
+    slots.into_iter().filter_map(|(_, out)| out).collect()
+}
+
+/// [`map`] with telemetry: emits one [`mvml_obs::TelemetryEvent::PoolRun`]
+/// per call, timing the whole fan-out as one span and recording the
+/// budget it ran with. Results are identical to `map` — the recorder is
+/// observe-only, and with a disabled recorder no clock is read and no
+/// event is built.
+pub fn map_recorded<I, T, F>(
+    recorder: &mvml_obs::Recorder,
+    label: &str,
+    items: Vec<I>,
+    f: F,
+) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    let span = recorder.span();
+    let count = items.len();
+    let workers = budget();
+    let out = map(items, f);
+    recorder.emit_timed(span.stop(), || mvml_obs::TelemetryEvent::PoolRun {
+        label: label.to_string(),
+        items: count,
+        workers,
+    });
+    out
+}
+
+/// Typed failure of a [`run_all`] job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolError {
-    /// The job panicked on its worker; the payload's message is preserved.
-    /// The worker itself survives and keeps serving subsequent jobs.
+    /// The job panicked; the payload's message is preserved. The worker
+    /// that ran it survives and keeps serving subsequent jobs.
     WorkerPanicked {
         /// Stringified panic payload (`&str`/`String` payloads verbatim).
         message: String,
     },
-    /// The pool shut down before the job produced a result.
-    Disconnected,
 }
 
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::WorkerPanicked { message } => {
-                write!(f, "pool worker panicked: {message}")
-            }
-            PoolError::Disconnected => write!(f, "pool shut down before the job completed"),
-        }
+        let PoolError::WorkerPanicked { message } = self;
+        write!(f, "pool worker panicked: {message}")
     }
 }
 
 impl std::error::Error for PoolError {}
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A [`run_all`] job before it runs, and its result after.
+type JobSlot<F, T> = (Option<F>, Option<Result<T, PoolError>>);
 
-/// A persistent fan-out pool: long-lived workers pulling submitted jobs
-/// from a shared queue.
-///
-/// Where [`ThreadPool`] spawns scoped threads per call (right for batch
-/// loops that fan out once and join immediately), `WorkerPool` keeps its
-/// workers alive across submissions — the shape a long-running service
-/// needs: shard executors submit work every round without paying thread
-/// spawn/join per request, and shutdown is explicit and graceful (the
-/// queue is closed, workers drain it and exit, and [`Drop`] joins every
-/// thread — the pool never leaks).
-///
-/// Jobs run under `catch_unwind`; a panicking job reaches its submitter as
-/// [`PoolError::WorkerPanicked`] while the worker survives for the next
-/// job.
-#[derive(Debug)]
-pub struct WorkerPool {
-    /// Closed (taken) on shutdown so workers see a disconnected queue.
-    queue: Option<mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-/// The pending result of one [`WorkerPool::submit`] call.
-#[derive(Debug)]
-pub struct JobHandle<T> {
-    result: mpsc::Receiver<Result<T, PoolError>>,
-}
-
-impl<T> JobHandle<T> {
-    /// Blocks until the job finishes, returning its result or the typed
-    /// error if it panicked or the pool shut down underneath it.
-    pub fn join(self) -> Result<T, PoolError> {
-        match self.result.recv() {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvError) => Err(PoolError::Disconnected),
-        }
-    }
-}
-
-impl WorkerPool {
-    /// A persistent pool sized by [`thread_count`].
-    pub fn new() -> Self {
-        WorkerPool::with_workers(thread_count())
-    }
-
-    /// A persistent pool with an explicit worker count (≥ 1).
-    pub fn with_workers(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("mvml-worker-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            Err(mpsc::RecvError) => break,
-                        }
-                    })
-                    .unwrap_or_else(|e| {
-                        // A host that cannot spawn a thread cannot run the
-                        // service at all; fail loudly at construction.
-                        panic!("spawning pool worker {i}: {e}")
-                    })
-            })
-            .collect();
-        WorkerPool {
-            queue: Some(tx),
-            workers: handles,
-        }
-    }
-
-    /// Number of persistent workers.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Submits a job for execution on some worker, returning a handle to
-    /// its eventual result. A panic inside `job` is caught on the worker
-    /// and surfaces from [`JobHandle::join`] as
-    /// [`PoolError::WorkerPanicked`].
-    pub fn submit<T, F>(&self, job: F) -> JobHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (tx, rx) = mpsc::sync_channel(1);
-        let wrapped: Job = Box::new(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(job)).map_err(|payload| {
+/// Runs every job on pool workers — at most `budget()` at once, the
+/// caller only waiting — and returns per-job results in input order. A
+/// panicking job yields [`PoolError::WorkerPanicked`] without discarding
+/// its siblings' results. Inside a fan-out the jobs run inline, in order,
+/// with the same per-job panic capture.
+pub fn run_all<T, F>(jobs: Vec<F>) -> Vec<Result<T, PoolError>>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    let mut slots: Vec<JobSlot<F, T>> = jobs.into_iter().map(|job| (Some(job), None)).collect();
+    let run = |(job, out): &mut JobSlot<F, T>| {
+        if let Some(job) = job.take() {
+            *out = Some(catch_unwind(AssertUnwindSafe(job)).map_err(|payload| {
                 let message = payload
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".to_string());
                 PoolError::WorkerPanicked { message }
-            });
-            // The submitter may have dropped its handle; that is not an
-            // error for the worker.
-            let _ = tx.send(outcome);
-        });
-        if let Some(queue) = &self.queue {
-            if queue.send(wrapped).is_ok() {
-                return JobHandle { result: rx };
-            }
+            }));
         }
-        // Queue already closed: the handle reports Disconnected on join
-        // (the rx end above has no sender left).
-        JobHandle { result: rx }
+    };
+    let runners = budget().min(slots.len());
+    if IN_FANOUT.with(Cell::get) || runners == 0 {
+        slots.iter_mut().for_each(run);
+    } else {
+        let cells: Vec<Mutex<&mut JobSlot<F, T>>> = slots.iter_mut().map(Mutex::new).collect();
+        // Each job catches its own panic, so the fan-out never carries one.
+        let _ = FanOut::run(cells.len(), runners, false, &|i| run(&mut lock(&cells[i])));
     }
-
-    /// Runs one closure per item on the pool and joins them all, returning
-    /// per-item results in input order (errors stay per-item: one poisoned
-    /// job does not discard its siblings' results).
-    pub fn run_all<T, F>(&self, jobs: Vec<F>) -> Vec<Result<T, PoolError>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let handles: Vec<JobHandle<T>> = jobs.into_iter().map(|job| self.submit(job)).collect();
-        handles.into_iter().map(JobHandle::join).collect()
-    }
-
-    /// Graceful shutdown: closes the queue, lets workers drain what was
-    /// already submitted, and joins every worker thread. Equivalent to
-    /// dropping the pool, but explicit at call sites that care.
-    pub fn shutdown(mut self) {
-        self.close_and_join();
-    }
-
-    fn close_and_join(&mut self) {
-        // Dropping the sender disconnects the queue; workers finish their
-        // current job, drain the backlog, then observe RecvError and exit.
-        self.queue = None;
-        for handle in self.workers.drain(..) {
-            // Worker bodies never panic (jobs are unwind-caught), so a join
-            // error here means the catch-all wrapper itself failed; there
-            // is nothing better to do than surface it.
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        WorkerPool::new()
-    }
-}
-
-impl Drop for WorkerPool {
-    /// Joins every worker: the pool cannot leak threads, even on panic
-    /// paths in the owner.
-    fn drop(&mut self) {
-        self.close_and_join();
-    }
+    slots.into_iter().filter_map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
 
     #[test]
-    fn map_preserves_order_for_any_worker_count() {
+    fn map_preserves_order_for_any_thread_count() {
         let items: Vec<u64> = (0..37).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            let pool = ThreadPool::with_workers(workers);
-            let got = pool.map(items.clone(), |x| x * x);
-            assert_eq!(got, expect, "workers = {workers}");
+        for threads in [1, 2, 3, 8] {
+            let got = with_thread_count(threads, || map(items.clone(), |x| x * x));
+            assert_eq!(got, expect, "threads = {threads}");
         }
     }
 
     #[test]
     fn for_each_mut_touches_every_index_once() {
-        for workers in [1, 3, 5] {
+        for threads in [1, 3, 5] {
             let mut data = vec![0usize; 23];
-            ThreadPool::with_workers(workers).for_each_mut(&mut data, |i, slot| {
-                *slot += i + 1;
+            with_thread_count(threads, || {
+                for_each_mut(&mut data, |i, slot| *slot += i + 1);
             });
             let expect: Vec<usize> = (1..=23).collect();
-            assert_eq!(data, expect, "workers = {workers}");
+            assert_eq!(data, expect, "threads = {threads}");
         }
     }
 
@@ -461,12 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_default_uses_thread_count() {
-        let workers = with_thread_count(4, || ThreadPool::new().workers());
-        assert_eq!(workers, 4);
-    }
-
-    #[test]
     fn bench_sweep_is_canonical_and_includes_resolved_count() {
         assert_eq!(with_thread_count(1, bench_thread_sweep), vec![1, 2, 4]);
         assert_eq!(with_thread_count(2, bench_thread_sweep), vec![1, 2, 4]);
@@ -475,103 +491,110 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_runs_jobs_and_returns_results() {
-        let pool = WorkerPool::with_workers(3);
-        assert_eq!(pool.workers(), 3);
-        let handles: Vec<_> = (0..17u64).map(|i| pool.submit(move || i * i)).collect();
-        let got: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let expect: Vec<u64> = (0..17).map(|i| i * i).collect();
-        assert_eq!(got, expect);
+    fn budget_is_spent_inside_a_fan_out() {
+        let inner = with_thread_count(4, || map(vec![(); 6], |()| budget()));
+        assert_eq!(inner, vec![1; 6], "every task, the caller's too");
+        assert_eq!(with_thread_count(4, budget), 4, "restored after the join");
     }
 
+    /// Fork-joins issued from inside pool jobs run inline on the job's own
+    /// thread, and complete while every runner of the outer fan-out is
+    /// parked on a barrier — no nested task waits on a busy worker.
     #[test]
-    fn worker_panic_reaches_submitter_as_typed_error_and_pool_survives() {
-        let pool = WorkerPool::with_workers(2);
-        let bad = pool.submit(|| -> u32 { panic!("injected job panic") });
-        match bad.join() {
-            Err(PoolError::WorkerPanicked { message }) => {
-                assert!(message.contains("injected job panic"), "{message}");
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-        // The worker that caught the panic keeps serving jobs.
-        let ok = pool.submit(|| 7u32);
-        assert_eq!(ok.join(), Ok(7));
-        // String payloads are preserved too.
-        let owned = pool.submit(|| -> u32 { panic!("{}", String::from("owned payload")) });
-        assert_eq!(
-            owned.join(),
-            Err(PoolError::WorkerPanicked {
-                message: "owned payload".into()
-            })
-        );
-    }
-
-    #[test]
-    fn run_all_keeps_per_item_errors_in_order() {
-        let pool = WorkerPool::with_workers(2);
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("middle job dies")),
-            Box::new(|| 3),
-        ];
-        let results = pool.run_all(jobs);
-        assert_eq!(results[0], Ok(1));
-        assert!(matches!(results[1], Err(PoolError::WorkerPanicked { .. })));
-        assert_eq!(results[2], Ok(3));
-    }
-
-    #[test]
-    fn graceful_shutdown_drains_submitted_jobs_and_joins_workers() {
-        use std::sync::atomic::AtomicUsize;
-        let completed = Arc::new(AtomicUsize::new(0));
-        let pool = WorkerPool::with_workers(2);
-        let handles: Vec<_> = (0..24)
+    fn nested_fork_join_runs_inline_while_every_worker_is_busy() {
+        let barrier = Barrier::new(2);
+        let jobs: Vec<_> = (0..2)
             .map(|_| {
-                let completed = Arc::clone(&completed);
-                pool.submit(move || {
-                    completed.fetch_add(1, Ordering::SeqCst);
-                })
+                || {
+                    barrier.wait();
+                    let me = std::thread::current().id();
+                    let seen: Vec<ThreadId> =
+                        map((0..8).collect(), |_: u32| std::thread::current().id());
+                    (seen.iter().all(|t| *t == me), budget())
+                }
             })
             .collect();
-        // Explicit shutdown drains the backlog before joining: nothing
-        // already submitted is lost.
-        pool.shutdown();
-        assert_eq!(completed.load(Ordering::SeqCst), 24);
-        for h in handles {
-            assert_eq!(h.join(), Ok(()));
+        let results = with_thread_count(2, || run_all(jobs));
+        assert_eq!(results, vec![Ok((true, 1)), Ok((true, 1))]);
+    }
+
+    #[test]
+    fn fork_join_panic_reraises_after_every_sibling_finishes() {
+        // Task 0 is claimed first; every sibling starts only once it is
+        // panicking, so the caller can see the panic only by waiting.
+        let panicking = std::sync::atomic::AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            with_thread_count(3, || {
+                map((0..12).collect(), |i: usize| {
+                    if i == 0 {
+                        panicking.store(true, Ordering::SeqCst);
+                        panic!("task 0 fails");
+                    }
+                    while !panicking.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+        }));
+        let payload = caught.expect_err("the task panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 0 fails"));
+        assert_eq!(finished.load(Ordering::SeqCst), 11, "siblings all ran");
+    }
+
+    #[test]
+    fn run_all_keeps_per_job_errors_in_order() {
+        for threads in [1, 2, 4] {
+            let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![
+                Box::new(|| 1),
+                Box::new(|| panic!("middle job dies")),
+                Box::new(|| panic!("{}", String::from("owned payload"))),
+                Box::new(|| 4),
+            ];
+            let results = with_thread_count(threads, || run_all(jobs));
+            assert_eq!(
+                results,
+                vec![
+                    Ok(1),
+                    Err(PoolError::WorkerPanicked {
+                        message: "middle job dies".into()
+                    }),
+                    Err(PoolError::WorkerPanicked {
+                        message: "owned payload".into()
+                    }),
+                    Ok(4),
+                ],
+                "threads = {threads}"
+            );
         }
     }
 
     #[test]
-    fn drop_joins_workers_without_hanging() {
-        let pool = WorkerPool::with_workers(4);
-        let slow = pool.submit(|| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            42u8
-        });
-        drop(pool); // must join (and therefore finish) the in-flight job
-        assert_eq!(slow.join(), Ok(42), "drop waited for the in-flight job");
+    fn run_all_jobs_run_on_pool_workers() {
+        let me = std::thread::current().id();
+        let jobs: Vec<_> = (0..3).map(|_| || std::thread::current().id()).collect();
+        for id in with_thread_count(2, || run_all(jobs)) {
+            assert_ne!(id, Ok(me), "the caller only waits");
+        }
     }
 
+    /// Small enough for miri: a borrowed fork-join, a nested one, and a
+    /// `run_all`, all over the lifetime-erased task pointer.
     #[test]
-    fn submit_after_shutdown_reports_disconnected() {
-        // A handle whose pool is gone reports Disconnected instead of
-        // hanging. (submit() itself needs a live pool, so simulate the
-        // race by dropping the pool between submit and join.)
-        let pool = WorkerPool::with_workers(1);
-        let gate = Arc::new(Mutex::new(()));
-        let held = gate.lock().unwrap();
-        let blocker = {
-            let gate = Arc::clone(&gate);
-            pool.submit(move || {
-                let _unused = gate.lock().unwrap_or_else(|e| e.into_inner());
+    fn miri_sized_pool_round_trip() {
+        let base = [1u32, 2, 3];
+        let sums = with_thread_count(2, || {
+            map(vec![10u32, 20, 30], |x| {
+                x + map(base.to_vec(), |b| b * x).iter().sum::<u32>()
             })
-        };
-        let queued = pool.submit(|| 9u32);
-        drop(held);
-        drop(pool); // graceful: drains both jobs, then joins
-        assert_eq!(blocker.join(), Ok(()));
-        assert_eq!(queued.join(), Ok(9), "queued job drained on shutdown");
+        });
+        assert_eq!(sums, vec![70, 140, 210]);
+        let mut cells = [0u8; 5];
+        with_thread_count(3, || for_each_mut(&mut cells, |i, c| *c = i as u8));
+        assert_eq!(cells, [0, 1, 2, 3, 4]);
+        let jobs: Vec<_> = [0, 2].map(|i| move || base[i]).into();
+        let got = with_thread_count(2, || run_all(jobs));
+        assert_eq!(got, vec![Ok(1), Ok(3)]);
     }
 }

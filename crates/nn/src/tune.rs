@@ -55,7 +55,10 @@ pub struct Tuning {
     /// Largest `m` routed to the stream path (packed `A`, in-place `B`).
     /// `0` disables the stream path entirely.
     pub stream_max_rows: usize,
-    /// Minimum `m·k·n` before a GEMM fans out over threads.
+    /// Minimum `m·k·n` before a GEMM fans out over the shared pool. It
+    /// gates top-level GEMMs only (training, benchmark rows): a GEMM
+    /// inside another fan-out (a serve shard, a perception version) has a
+    /// thread budget of 1 and always runs inline.
     pub parallel_macs: usize,
     /// `Conv2d` `Auto` lowers to GEMM only when `out_channels` is at
     /// least this.

@@ -160,7 +160,7 @@ pub enum TelemetryEvent {
         label: String,
         /// Items mapped.
         items: usize,
-        /// Workers the pool fanned out to.
+        /// Thread budget of the fan-out (1 when nested inside another).
         workers: usize,
     },
     /// One closed-loop simulator stage on one tick (perception, planner).

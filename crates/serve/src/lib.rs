@@ -10,8 +10,8 @@
 //! - **Shards & fault domains** ([`shard`]): each tenant owns a complete
 //!   [`mvml_core::NVersionSystem`] — replicas, guard, watchdog,
 //!   rejuvenation schedule — and tenants are partitioned across shards
-//!   that execute on a persistent worker pool. A shard loss drops only its
-//!   own tenants' in-flight requests; the service rebuilds it from
+//!   that execute on the process-wide worker pool. A shard loss drops only
+//!   its own tenants' in-flight requests; the service rebuilds it from
 //!   pristine blueprints ([`service`]).
 //! - **SLO accounting** ([`slo`], [`report`]): per-tenant decisiveness
 //!   (SLO-miss) and deadline-withhold rates, frozen into a deterministic

@@ -1,14 +1,15 @@
 //! The multi-tenant service: admission → shard fan-out → SLO accounting.
 //!
 //! Each round the service drains one batch per tenant from the admission
-//! queue, partitions the batches by shard, moves every shard into a
-//! worker-pool job, and joins the jobs in shard order. Outcomes feed the
-//! per-tenant accounting, which lives *here* — outside the shards — so a
-//! shard restart can never lose a tenant's counters.
+//! queue, partitions the batches by shard, moves every shard into a job on
+//! the process-wide pool ([`parallel::run_all`]), and folds the results in
+//! shard order. Outcomes feed the per-tenant accounting, which lives
+//! *here* — outside the shards — so a shard restart can never lose a
+//! tenant's counters.
 //!
 //! ## Fault domains
 //!
-//! A worker job that panics (a chaos injection, or a bug in a module
+//! A shard job that panics (a chaos injection, or a bug in a module
 //! replica that escapes `catch_unwind`) consumes its shard: the state
 //! moved into the closure is gone. The service records every request that
 //! was in flight on that shard as dropped, rebuilds the shard's tenants
@@ -33,7 +34,7 @@ use crate::shard::{RepairKind, Shard, TenantRoundOutcome, TenantState};
 use crate::slo::TenantAccounting;
 use crate::tenant::{build_system, TenantConfig};
 use mvml_core::NVersionSystem;
-use mvml_nn::parallel::{PoolError, WorkerPool};
+use mvml_nn::parallel::{self, PoolError};
 use mvml_obs::{Counter, Gauge, RingBufferSink, TelemetryRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -43,7 +44,8 @@ use std::sync::Arc;
 pub struct ServiceConfig {
     /// Seed deriving every tenant's private fault stream.
     pub seed: u64,
-    /// Shard (and worker-thread) count.
+    /// Shard count. Shards run as jobs on the process-wide pool, at most
+    /// `MVML_THREADS` at once; each shard's inference runs on one thread.
     pub shards: usize,
     /// Per-tenant batch ceiling per round.
     pub max_batch: usize,
@@ -111,7 +113,6 @@ pub struct Service {
     /// Tenant → private telemetry ring (when recording).
     rings: BTreeMap<String, Arc<RingBufferSink>>,
     admission: AdmissionQueue,
-    pool: WorkerPool,
     /// `None` while a shard is out on a worker job (or mid-rebuild).
     shards: Vec<Option<Shard>>,
     accounting: BTreeMap<String, TenantAccounting>,
@@ -125,7 +126,7 @@ pub struct Service {
 impl Service {
     /// Builds the service: trains/constructs every tenant's blueprint
     /// system, assigns tenants to shards round-robin over the sorted
-    /// tenant order, and spins up one pool worker per shard.
+    /// tenant order.
     pub fn new(tenants: Vec<TenantConfig>, cfg: ServiceConfig) -> Result<Self, ServeError> {
         if tenants.is_empty() {
             return Err(ServeError::Config {
@@ -177,7 +178,6 @@ impl Service {
 
         let mut service = Service {
             admission,
-            pool: WorkerPool::with_workers(cfg.shards),
             shards: (0..cfg.shards).map(|_| None).collect(),
             cfg,
             tenants,
@@ -297,7 +297,7 @@ impl Service {
     }
 
     /// Runs one service round: drains one batch per tenant, fans the
-    /// shards out across the worker pool, joins them in shard order, and
+    /// shards out across the shared pool, joins them in shard order, and
     /// folds the outcomes into the per-tenant accounting. Answers come
     /// back sorted into tenant order (admission order within a tenant), so
     /// their sequence is independent of the shard layout.
@@ -339,11 +339,11 @@ impl Service {
         }
 
         // Fan out: every shard moves into a pool job for the round.
-        let mut handles = Vec::with_capacity(self.cfg.shards);
+        let mut jobs = Vec::with_capacity(self.cfg.shards);
         for (s, batches) in per_shard.into_iter().enumerate() {
             let shard = self.shards[s].take();
             let chaos = self.chaos_panics.remove(&s);
-            handles.push(self.pool.submit(move || {
+            jobs.push(move || {
                 if chaos {
                     // mvml-allow(panic_safety): deliberate chaos injection; the pool catches it
                     panic!("injected chaos panic on shard {s}");
@@ -354,12 +354,12 @@ impl Service {
                     None => Vec::new(),
                 };
                 (shard, outcomes)
-            }));
+            });
         }
 
-        // Join in shard order; rebuild any shard whose job panicked.
-        for (s, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
+        // Fold in shard order; rebuild any shard whose job panicked.
+        for (s, result) in parallel::run_all(jobs).into_iter().enumerate() {
+            match result {
                 Ok((shard, outcomes)) => {
                     self.shards[s] = shard;
                     for out in outcomes {
@@ -382,11 +382,6 @@ impl Service {
                         }
                     }
                     self.shards[s] = Some(self.build_shard(s));
-                }
-                Err(PoolError::Disconnected) => {
-                    return Err(ServeError::Config {
-                        reason: "worker pool disconnected mid-round".to_string(),
-                    });
                 }
             }
         }
@@ -461,8 +456,7 @@ impl Service {
 
     /// Finishes the service: freezes the report and replays every tenant's
     /// private telemetry ring in tenant order, so the merged stream is
-    /// independent of how rounds interleaved across shards. The worker
-    /// pool drains and joins on drop.
+    /// independent of how rounds interleaved across shards.
     pub fn finish(self) -> (ServiceReport, Vec<TelemetryRecord>) {
         let report = self.report();
         let mut records = Vec::new();

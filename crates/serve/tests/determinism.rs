@@ -2,11 +2,15 @@
 //! request trace must produce a byte-identical [`ServiceReport`] — across
 //! repeated runs *and* across shard counts — and the telemetry replay must
 //! be content-identical (sequence, scopes, events; wall-clock timings
-//! excluded) regardless of how tenants were partitioned over shards.
+//! excluded) regardless of how tenants were partitioned over shards. The
+//! thread budget (`MVML_THREADS`) must not move a byte of it either.
 
+use mvml_nn::parallel::with_thread_count;
 use mvml_obs::{content_streams_eq, TelemetryRecord};
 use mvml_serve::loadgen::{build_trace, ArrivalMode, LoadPlan, TraceItem};
-use mvml_serve::tenant::{FaultSpec, FaultSpecKind, TenantConfig};
+use mvml_serve::tenant::{
+    AgingSpec, FaultSpec, FaultSpecKind, ModelSpec, ProactiveSpec, TenantConfig,
+};
 use mvml_serve::{Service, ServiceConfig};
 use proptest::prelude::*;
 
@@ -73,6 +77,53 @@ fn fault_for(sel: u8, rate: f64, module: Option<usize>) -> FaultSpec {
         _ => FaultSpecKind::Stale,
     };
     FaultSpec { kind, rate, module }
+}
+
+/// Thread budget × shard count. One pool sizes every fan-out — the shard
+/// jobs and, at set-up, the training GEMMs — and neither count may change
+/// the report. Trained tenants put real GEMMs inside the shard jobs.
+#[test]
+fn reports_are_bytewise_stable_across_thread_and_shard_counts() {
+    mvml_serve::install_quiet_panic_hook();
+    let trained = |name: &str, seed: u64| TenantConfig {
+        model: ModelSpec::Trained {
+            classes: 8,
+            image_size: 32,
+            train_samples: 64,
+            epochs: 1,
+            seed,
+        },
+        ..TenantConfig::passthrough(name, 8)
+    };
+    let tenants = vec![
+        trained("aging", 5)
+            .with_aging(AgingSpec {
+                compromise_rate: 0.05,
+                crash_rate: 0.02,
+            })
+            .with_proactive(ProactiveSpec {
+                period_rounds: 4,
+                refresh_rounds: 1,
+            }),
+        trained("crashy", 6).with_fault(FaultSpec {
+            kind: FaultSpecKind::Crash,
+            rate: 0.2,
+            module: None,
+        }),
+        TenantConfig::passthrough("plain", 4),
+    ];
+    let plan = LoadPlan {
+        rounds: 10,
+        mode: ArrivalMode::Closed { per_round: 3 },
+    };
+    let trace = build_trace(&tenants, &plan, 7);
+    let (reference, _) = with_thread_count(1, || run(&tenants, &trace, 7, 1, 4));
+    for threads in [1, 2, 4] {
+        for shards in [1, 2, 4] {
+            let (json, _) = with_thread_count(threads, || run(&tenants, &trace, 7, shards, 4));
+            assert_eq!(json, reference, "threads = {threads}, shards = {shards}");
+        }
+    }
 }
 
 proptest! {
