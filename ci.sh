@@ -265,7 +265,9 @@ gate_tsan() {
 gate_miri() {
   if cargo miri --version >/dev/null 2>&1; then
     echo "== miri: nn kernel + thread-pool suite =="
-    MIRIFLAGS="${MIRIFLAGS:--Zmiri-strict-provenance}" cargo miri test -p mvml-nn
+    # -Zmiri-ignore-leaks: the persistent pool's workers live for the whole
+    # process and are never joined, so they are still parked at exit.
+    MIRIFLAGS="${MIRIFLAGS:--Zmiri-strict-provenance -Zmiri-ignore-leaks}" cargo miri test -p mvml-nn
   else
     echo "MIRI requested but the miri component is not installed; skipping." >&2
     echo "(the SIMD microkernels carry real unsafe now — see the census in" >&2

@@ -331,14 +331,35 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    if budget() == 1 {
+    fan_out_mut(items, true, f);
+}
+
+/// Applies `f(i, &mut items[i])` to every element on up to `budget()` pool
+/// workers, one of them the caller when `caller_helps`; inline inside a
+/// fan-out or when no worker would be used.
+///
+/// # Panics
+///
+/// As [`for_each`].
+fn fan_out_mut<T, F>(items: &mut [T], caller_helps: bool, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let runners = budget()
+        .min(items.len())
+        .saturating_sub(usize::from(caller_helps));
+    if runners == 0 || IN_FANOUT.with(Cell::get) {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
         return;
     }
-    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    for_each(slots.len(), |i| f(i, &mut lock(&slots[i])));
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    let task = |i: usize| f(i, &mut lock(&cells[i]));
+    if let Some(payload) = FanOut::run(cells.len(), runners, caller_helps, &task) {
+        resume_unwind(payload);
+    }
 }
 
 /// Fork-join: applies `f` to every item, returning results in input order
@@ -423,7 +444,8 @@ where
     F: FnOnce() -> T + Send,
 {
     let mut slots: Vec<JobSlot<F, T>> = jobs.into_iter().map(|job| (Some(job), None)).collect();
-    let run = |(job, out): &mut JobSlot<F, T>| {
+    // Each job catches its own panic, so the fan-out never re-raises one.
+    fan_out_mut(&mut slots, false, |_, (job, out)| {
         if let Some(job) = job.take() {
             *out = Some(catch_unwind(AssertUnwindSafe(job)).map_err(|payload| {
                 let message = payload
@@ -434,15 +456,7 @@ where
                 PoolError::WorkerPanicked { message }
             }));
         }
-    };
-    let runners = budget().min(slots.len());
-    if IN_FANOUT.with(Cell::get) || runners == 0 {
-        slots.iter_mut().for_each(run);
-    } else {
-        let cells: Vec<Mutex<&mut JobSlot<F, T>>> = slots.iter_mut().map(Mutex::new).collect();
-        // Each job catches its own panic, so the fan-out never carries one.
-        let _ = FanOut::run(cells.len(), runners, false, &|i| run(&mut lock(&cells[i])));
-    }
+    });
     slots.into_iter().filter_map(|(_, out)| out).collect()
 }
 
