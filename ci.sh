@@ -5,7 +5,9 @@
 # gate, the serve chaos smoke gate (wire-fault totality + rejuvenation
 # availability vs the DSPN model, byte-stable across reruns and shard
 # counts), and the perf-regression gate (which also cross-checks the serve
-# summary's deterministic accounting against the committed baseline).
+# summary's deterministic accounting against the committed baseline),
+# and the analytic DSPN artefacts gate (results/* re-derived from the
+# Fig. 2/3 DSPNs, byte-compared).
 #
 # Every gate runs through the harness below: each one prints a one-line
 # `gate <name>: ok (<seconds>s)` summary when it passes, and the script
@@ -13,8 +15,9 @@
 #
 # Knobs:
 #   GATES="..."  run only the named gates (space- or comma-separated).
-#                Known names: fmt clippy docs test analyze campaign serve
-#                chaos perf tsan miri. Example: GATES="fmt,clippy,test".
+#                Known names: fmt clippy docs test analyze dspn_artefacts
+#                campaign serve chaos perf tsan miri.
+#                Example: GATES="fmt,clippy,test".
 #                Unset/empty = the full default lane (tsan/miri only when
 #                their knobs below ask for them).
 #   PERF_GATE=0  skip the perf-regression gate (it re-measures the NN and
@@ -39,7 +42,7 @@ cd "$(dirname "$0")"
 # Gate harness: run_gate times a gate_<name> function, prints the one-line
 # summary, and the EXIT trap names the gate when anything inside it fails.
 # ---------------------------------------------------------------------------
-KNOWN_GATES="fmt clippy docs test analyze campaign serve chaos perf tsan miri"
+KNOWN_GATES="fmt clippy docs test analyze dspn_artefacts campaign serve chaos perf tsan miri"
 CURRENT_GATE=""
 GATE_T0=0
 
@@ -99,6 +102,59 @@ gate_analyze() {
   # Dev profile on purpose: it reuses the build from the test gate, so the
   # whole gate is a quick re-scan + byte-compare.
   cargo run -q -p mvml-analyze -- --validate
+}
+
+gate_dspn_artefacts() {
+  # Analytic DSPN artefacts gate: every committed result that comes from
+  # solving the Fig. 2/3 DSPNs is regenerated and byte-compared with
+  # results/, so a solver or reachability change that moves any printed
+  # digit fails here. Discrete-event-simulated values do not reproduce
+  # from the committed files (table5's simulated column, NSCALE's
+  # des_cross_check simulated/half_width/within_ci), so those cells are
+  # masked on both sides. ext_transient is analytic and was generated with
+  # `3000 8`; ext_ablations mixes in a simulated table and is not compared.
+  echo "== dspn artefacts: analytic results/* re-derived from the DSPNs =="
+  local dir="target/dspn-artefacts"
+  rm -rf "$dir"
+  mkdir -p "$dir"
+  cargo build -q --release -p mvml-bench --bin fig4_sweeps \
+    --bin table3_states --bin table5_reliability --bin nscale --bin ext_transient
+  target/release/fig4_sweeps all 13 >"$dir/fig4_sweeps.csv" 2>/dev/null
+  cmp "$dir/fig4_sweeps.csv" results/fig4_sweeps.csv
+  target/release/table3_states >"$dir/table3_states.txt" 2>/dev/null
+  cmp "$dir/table3_states.txt" results/table3_states.txt
+  target/release/ext_transient 3000 8 >"$dir/ext_transient.txt" 2>/dev/null
+  cmp "$dir/ext_transient.txt" results/ext_transient.txt
+  target/release/table5_reliability --simulate \
+    >"$dir/table5_reliability.txt" 2>/dev/null
+  # nscale writes results/NSCALE_core.json relative to its working directory.
+  (cd "$dir" && "$OLDPWD/target/release/nscale" >/dev/null 2>&1)
+  python3 - "$dir" <<'PY'
+import re, sys
+fresh_dir = sys.argv[1]
+
+def compare(name, fresh, committed, mask):
+    a, b = mask(fresh), mask(committed)
+    if a != b:
+        sys.exit(f"{name}: analytic content differs from results/{name}")
+
+def simulated_cells(text):
+    # "| 0.851756 ± 0.003973    |" -> "| <simulated> |"
+    return re.sub(r"\| \d+\.\d+ ± \d+\.\d+ *\|", "| <simulated> |", text)
+
+def des_fields(text):
+    return re.sub(r'"(simulated|half_width|within_ci)":[^,}]*', r'"\1":<des>', text)
+
+for name, path, mask in [
+    ("table5_reliability.txt", "table5_reliability.txt", simulated_cells),
+    ("NSCALE_core.json", "results/NSCALE_core.json", des_fields),
+]:
+    fresh = open(f"{fresh_dir}/{path}", encoding="utf-8").read()
+    committed = open(f"results/{name}", encoding="utf-8").read()
+    compare(name, fresh, committed, mask)
+print("fig4_sweeps, table3_states, ext_transient, table5 + nscale (analytic): byte-identical")
+PY
+  rm -rf "$dir"
 }
 
 gate_campaign() {
@@ -288,7 +344,7 @@ if [[ -n "${GATES:-}" ]]; then
     esac
   done
 else
-  SELECTED="fmt clippy docs test analyze campaign serve chaos perf"
+  SELECTED="fmt clippy docs test analyze dspn_artefacts campaign serve chaos perf"
   [[ "${TSAN:-0}" == "1" ]] && SELECTED+=" tsan"
   [[ "${MIRI:-0}" == "1" ]] && SELECTED+=" miri"
 fi

@@ -2,10 +2,11 @@
 //! same files under `--out-dir <dir>` — the perf gate measures into a
 //! scratch directory and compares against the committed baselines).
 //!
-//! The petri summary times the steady-state backends (dense elimination vs
-//! Gauss–Seidel) on the same pre-explored chain — the six-version proactive
-//! net at Erlang-8 — recording each backend's solve time, residual and
-//! state count, plus DES throughput on the unexpanded net.
+//! The petri summary times tangible reachability and the steady-state
+//! backends (dense elimination vs Gauss–Seidel) on the same chain — the
+//! six-version proactive net at Erlang-8 — recording the exploration time,
+//! each backend's solve time, residual and state count, plus DES
+//! throughput on the unexpanded net.
 //!
 //! The NN summary covers kernel-level and pipeline-level timings for the
 //! GEMM rewrite — direct-vs-GEMM convolution, the blocked GEMM at several
@@ -38,8 +39,11 @@ fn main() {
     }
     std::fs::create_dir_all(&out_dir).expect("output dir");
 
-    println!("timing DSPN steady-state backends (6v proactive, Erlang-8)...");
+    println!("timing DSPN reachability and steady-state backends (6v proactive, Erlang-8)...");
     let petri = petri_summary();
+    if let Some(ns) = petri.reach_ns {
+        println!("reachability: {ns:.2e} ns/explore");
+    }
     for row in &petri.steady_state_solves {
         println!(
             "{} over {} states: {:.2e} ns/solve, residual {:.2e}",

@@ -140,6 +140,9 @@ pub struct PetriSummary {
     pub model: String,
     /// Erlang stages used to expand the deterministic clock.
     pub erlang_k: u32,
+    /// Median tangible-reachability (`petri::reach::explore`) time on the
+    /// expanded net, ns (`None` only in hand-built summaries).
+    pub reach_ns: Option<f64>,
     /// Per-backend steady-state timings on the same pre-explored chain.
     pub steady_state_solves: Vec<SolveRow>,
     /// Median DES wall time for a 100k-second horizon, ns.
@@ -340,9 +343,9 @@ fn int8_perception_row(bank: &DetectorBank, f32_single_1t: f64) -> Int8Perceptio
     }
 }
 
-/// Measures the DSPN steady-state backends (dense elimination vs
-/// Gauss–Seidel) on the same pre-explored chain — the six-version proactive
-/// net at Erlang-8 — plus DES throughput on the unexpanded net.
+/// Measures tangible reachability and the DSPN steady-state backends
+/// (dense elimination vs Gauss–Seidel) on the same chain — the six-version
+/// proactive net at Erlang-8 — plus DES throughput on the unexpanded net.
 pub fn petri_summary() -> PetriSummary {
     let erlang_k = 8;
     let params = SystemParams::paper_table_iv();
@@ -350,6 +353,12 @@ pub fn petri_summary() -> PetriSummary {
     let expanded = erlang_expand(&mv.net, erlang_k).expect("expansion");
     let graph = explore(&expanded, &ReachOptions::default()).expect("reachability");
     let opts = SolverOptions::default();
+    let reach_ns = median_ns(9, 5, || {
+        std::hint::black_box(
+            explore(std::hint::black_box(&expanded), &ReachOptions::default())
+                .expect("reachability"),
+        );
+    });
 
     let steady_state_solves = [SolutionMethod::Dense, SolutionMethod::GaussSeidel]
         .into_iter()
@@ -385,6 +394,7 @@ pub fn petri_summary() -> PetriSummary {
     PetriSummary {
         model: "6v proactive (Fig. 3)".to_string(),
         erlang_k,
+        reach_ns: Some(reach_ns),
         steady_state_solves,
         des_simulate_100k_s_ns,
     }
@@ -456,12 +466,15 @@ fn delta(metric: String, baseline: f64, fresh: f64, time_based: bool, tol: f64) 
     }
 }
 
-/// Compares a fresh [`PetriSummary`] against a committed baseline. Rows are
-/// joined on backend name; metrics only present on one side are ignored
-/// (changing the benchmark set is a deliberate act that recommits the
-/// baseline, not a regression).
+/// Compares a fresh [`PetriSummary`] against a committed baseline. Solve
+/// rows are joined on backend name; metrics only present on one side are
+/// ignored (changing the benchmark set is a deliberate act that recommits
+/// the baseline, not a regression).
 pub fn compare_petri(base: &PetriSummary, fresh: &PetriSummary, tol: f64) -> Vec<PerfDelta> {
     let mut out = Vec::new();
+    if let (Some(b), Some(f)) = (base.reach_ns, fresh.reach_ns) {
+        out.push(delta("petri/reach".to_string(), b, f, true, tol));
+    }
     for b in &base.steady_state_solves {
         if let Some(f) = fresh
             .steady_state_solves
@@ -739,6 +752,7 @@ mod tests {
         PetriSummary {
             model: "m".into(),
             erlang_k: 8,
+            reach_ns: None,
             steady_state_solves: vec![SolveRow {
                 backend: "dense".into(),
                 states: 100,
@@ -939,6 +953,25 @@ mod tests {
     }
 
     #[test]
+    fn reach_row_joins_only_when_both_sides_have_it() {
+        let with_reach = |ns| PetriSummary {
+            reach_ns: Some(ns),
+            ..petri(1000.0, 1000.0)
+        };
+        let joined = |base: &PetriSummary, fresh: &PetriSummary| {
+            compare_petri(base, fresh, 0.25)
+                .into_iter()
+                .find(|d| d.metric == "petri/reach")
+        };
+        assert!(joined(&petri(1000.0, 1000.0), &with_reach(500.0)).is_none());
+        assert!(joined(&with_reach(500.0), &petri(1000.0, 1000.0)).is_none());
+        let ok = joined(&with_reach(1000.0), &with_reach(1300.0)).expect("reach row");
+        assert!(!ok.regressed, "{ok:?}");
+        let bad = joined(&with_reach(1000.0), &with_reach(1400.0)).expect("reach row");
+        assert!(bad.regressed && bad.throughput_ratio < 0.75, "{bad:?}");
+    }
+
+    #[test]
     fn non_finite_fresh_measurement_regresses() {
         // A NaN/zero fresh value must read as a failure, not vacuously pass.
         let bad = compare_petri(&petri(1000.0, 1000.0), &petri(f64::NAN, 0.0), 0.25);
@@ -955,6 +988,14 @@ mod tests {
         let back: PetriSummary = serde_json::from_str(&j).expect("parse");
         assert_eq!(back.steady_state_solves[0].backend, "dense");
         assert_eq!(back.erlang_k, 8);
+        assert_eq!(back.reach_ns, None);
+        let timed = PetriSummary {
+            reach_ns: Some(789.0),
+            ..p
+        };
+        let j = serde_json::to_string(&timed).expect("serialise");
+        let back: PetriSummary = serde_json::from_str(&j).expect("parse");
+        assert_eq!(back.reach_ns.map(f64::to_bits), Some(789.0f64.to_bits()));
     }
 
     fn serve(throughput: f64) -> ServeSummary {

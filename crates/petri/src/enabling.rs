@@ -58,15 +58,20 @@ pub(crate) fn effective_rate(net: &Net, t: usize, marking: &Marking) -> Option<f
 ///
 /// Assumes `t` is enabled; token counts are debited then credited.
 pub(crate) fn fire(net: &Net, t: usize, marking: &Marking) -> Marking {
-    let tr = &net.transitions[t];
     let mut next = marking.clone();
+    fire_in_place(net, t, &mut next);
+    next
+}
+
+/// [`fire`] without the allocation: turns `marking` into its successor.
+pub(crate) fn fire_in_place(net: &Net, t: usize, marking: &mut Marking) {
+    let tr = &net.transitions[t];
     for &(p, w) in &tr.inputs {
-        next.set(p, next.get(p) - w);
+        marking.set(p, marking.get(p) - w);
     }
     for &(p, w) in &tr.outputs {
-        next.set(p, next.get(p) + w);
+        marking.set(p, marking.get(p) + w);
     }
-    next
 }
 
 /// The set of enabled immediate transitions at the *highest* enabled

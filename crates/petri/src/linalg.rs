@@ -12,32 +12,59 @@
 
 use crate::error::PetriError;
 
-/// A sparse CTMC generator stored as incoming-edge lists.
+/// A sparse CTMC generator in compressed sparse row form over *incoming*
+/// edges: state `j`'s inflows `(i, q_ij)`, `i != j`, are
+/// `source[k], rate[k]` for `k` in `start[j]..start[j + 1]`, ordered by
+/// source state and then by the source's edge order.
 #[derive(Debug, Clone)]
 pub struct SparseGenerator {
-    /// `incoming[j]` lists `(i, q_ij)` for `i != j`.
-    pub incoming: Vec<Vec<(usize, f64)>>,
+    start: Vec<usize>,
+    source: Vec<u32>,
+    rate: Vec<f64>,
     /// Total exit rate of each state (`-q_jj`).
-    pub exit: Vec<f64>,
+    exit: Vec<f64>,
 }
 
 impl SparseGenerator {
     /// Builds the incoming-edge representation from outgoing-edge lists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than `u32::MAX` states.
     pub fn from_outgoing(edges: &[Vec<(usize, f64)>]) -> Self {
         let n = edges.len();
-        let mut incoming = vec![Vec::new(); n];
-        let mut exit = vec![0.0; n];
-        for (i, out) in edges.iter().enumerate() {
-            for &(j, r) in out {
-                // Self-loops leave the state unchanged and are irrelevant to
-                // the stationary distribution of a CTMC.
-                if i != j {
-                    exit[i] += r;
-                    incoming[j].push((i, r));
-                }
-            }
+        // Self-loops leave the state unchanged and are irrelevant to the
+        // stationary distribution of a CTMC.
+        let off_diagonal = || {
+            edges
+                .iter()
+                .enumerate()
+                .flat_map(|(i, out)| out.iter().map(move |&(j, r)| (i, j, r)))
+                .filter(|&(i, j, _)| i != j)
+        };
+        let mut start = vec![0usize; n + 1];
+        for (_, j, _) in off_diagonal() {
+            start[j + 1] += 1;
         }
-        SparseGenerator { incoming, exit }
+        for j in 0..n {
+            start[j + 1] += start[j];
+        }
+        let mut fill = start[..n].to_vec();
+        let mut source = vec![0u32; start[n]];
+        let mut rate = vec![0.0f64; start[n]];
+        let mut exit = vec![0.0; n];
+        for (i, j, r) in off_diagonal() {
+            exit[i] += r;
+            source[fill[j]] = u32::try_from(i).expect("state ids fit in u32");
+            rate[fill[j]] = r;
+            fill[j] += 1;
+        }
+        SparseGenerator {
+            start,
+            source,
+            rate,
+            exit,
+        }
     }
 
     /// Number of states.
@@ -48,6 +75,17 @@ impl SparseGenerator {
     /// Returns `true` if the generator has no states.
     pub fn is_empty(&self) -> bool {
         self.exit.is_empty()
+    }
+
+    /// Probability flow into state `j` under `pi`, `Σ_i pi[i] q_ij`, summed
+    /// in inflow order.
+    fn inflow(&self, j: usize, pi: &[f64]) -> f64 {
+        let edges = self.start[j]..self.start[j + 1];
+        self.source[edges.clone()]
+            .iter()
+            .zip(&self.rate[edges])
+            .map(|(&i, &q)| pi[i as usize] * q)
+            .sum()
     }
 }
 
@@ -180,8 +218,7 @@ pub fn solve_gauss_seidel(
     for sweep in 1..=max_sweeps {
         let mut max_rel_change = 0.0f64;
         for j in 0..n {
-            let inflow: f64 = gen.incoming[j].iter().map(|&(i, q)| pi[i] * q).sum();
-            let new = inflow / gen.exit[j];
+            let new = gen.inflow(j, &pi) / gen.exit[j];
             let denom = new.abs().max(1e-300);
             let change = (new - pi[j]).abs() / denom;
             if change > max_rel_change {
@@ -229,7 +266,7 @@ pub fn global_balance_residual(gen: &SparseGenerator, pi: &[f64]) -> f64 {
     let mut worst_violation = 0.0f64;
     let mut max_flow = 0.0f64;
     for j in 0..gen.len() {
-        let inflow: f64 = gen.incoming[j].iter().map(|&(i, q)| pi[i] * q).sum();
+        let inflow = gen.inflow(j, pi);
         let outflow = pi[j] * gen.exit[j];
         worst_violation = worst_violation.max((inflow - outflow).abs());
         max_flow = max_flow.max(inflow.abs()).max(outflow.abs());
@@ -246,7 +283,7 @@ pub fn global_balance_residual(gen: &SparseGenerator, pi: &[f64]) -> f64 {
 pub fn balance_residual(gen: &SparseGenerator, pi: &[f64]) -> f64 {
     let mut worst = 0.0f64;
     for j in 0..gen.len() {
-        let inflow: f64 = gen.incoming[j].iter().map(|&(i, q)| pi[i] * q).sum();
+        let inflow = gen.inflow(j, pi);
         let outflow = pi[j] * gen.exit[j];
         let scale = inflow.abs().max(outflow.abs()).max(1e-300);
         let v = (inflow - outflow).abs() / scale;

@@ -1,7 +1,9 @@
 //! Token markings.
 
 use crate::model::PlaceId;
+use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Index;
 
 /// A marking assigns a token count to every place of a net.
@@ -66,6 +68,65 @@ impl Marking {
 
     pub(crate) fn get(&self, place: usize) -> u32 {
         self.0[place]
+    }
+
+    /// Overwrites this marking with `other`'s token counts, in place.
+    pub(crate) fn copy_from(&mut self, other: &Marking) {
+        self.0.copy_from_slice(&other.0);
+    }
+}
+
+/// Lets marking-keyed maps be probed with a scratch marking's raw token
+/// counts; hashing and equality agree because both are those of the slice.
+impl Borrow<[u32]> for Marking {
+    fn borrow(&self) -> &[u32] {
+        &self.0
+    }
+}
+
+/// A small std-only hasher for the lookup-only marking maps (the
+/// reachability interning index and vanishing memo, the solution index).
+///
+/// Token counts are folded in 64-bit words by rotate–xor–multiply, much
+/// cheaper than the default SipHash over a ~40-place marking. The maps that
+/// use it are never iterated, so hash order cannot reach any result, and
+/// their keys are markings the explorer generated, not outside input.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct MarkingHasher(u64);
+
+/// [`std::hash::BuildHasher`] for [`MarkingHasher`].
+pub(crate) type MarkingHash = BuildHasherDefault<MarkingHasher>;
+
+impl MarkingHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for MarkingHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upward; rotate the well-mixed high bits down to
+        // where the table takes its bucket index.
+        self.0.rotate_left(26)
     }
 }
 

@@ -99,6 +99,13 @@ pub struct Solution {
 }
 
 impl Solution {
+    fn analytic(markings: Vec<Marking>, probs: Vec<f64>, info: SolutionInfo) -> Self {
+        Solution {
+            repr: Repr::Analytic(SteadyState::new(markings, probs)),
+            info,
+        }
+    }
+
     /// Provenance and accuracy of this solution.
     pub fn info(&self) -> &SolutionInfo {
         &self.info
@@ -198,7 +205,8 @@ pub fn solve_steady_traced(
         }
         _ => {
             let graph = explore(net, &opts.reach)?;
-            solve_graph(&graph, method, opts)?
+            let (probs, info) = solve_probs(&graph, method, opts)?;
+            Solution::analytic(graph.markings, probs, info)
         }
     };
     recorder.emit_timed(span.stop(), || TelemetryEvent::SolverRun {
@@ -222,6 +230,16 @@ pub fn solve_graph(
     method: &SolutionMethod,
     opts: &SolverOptions,
 ) -> Result<Solution, PetriError> {
+    let (probs, info) = solve_probs(graph, method, opts)?;
+    Ok(Solution::analytic(graph.markings.clone(), probs, info))
+}
+
+/// The stationary vector of `graph` by state id, with its provenance.
+fn solve_probs(
+    graph: &ReachabilityGraph,
+    method: &SolutionMethod,
+    opts: &SolverOptions,
+) -> Result<(Vec<f64>, SolutionInfo), PetriError> {
     let n = graph.state_count();
     let gen = SparseGenerator::from_outgoing(&graph.edges);
     let (probs, backend) = match method {
@@ -255,10 +273,7 @@ pub fn solve_graph(
         states: n,
         residual: global_balance_residual(&gen, &probs),
     };
-    Ok(Solution {
-        repr: Repr::Analytic(SteadyState::new(graph.markings.clone(), probs)),
-        info,
-    })
+    Ok((probs, info))
 }
 
 #[cfg(test)]

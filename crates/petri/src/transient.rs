@@ -18,56 +18,39 @@ use crate::error::PetriError;
 use crate::marking::Marking;
 use crate::model::Net;
 use crate::reach::{explore, ReachOptions, ReachabilityGraph};
-use crate::reward::ExpectedReward;
+use crate::reward::{Distribution, ExpectedReward};
+use std::sync::Arc;
 
 /// The state distribution of a net at one time point.
 #[derive(Debug)]
 pub struct TransientSolution {
-    markings: Vec<Marking>,
-    probs: Vec<f64>,
-    /// Marking → state id for O(1) point lookups (mirrors
-    /// [`SteadyState::probability_of_marking`]).
-    // mvml-allow(determinism): lookup-only index; rewards iterate `markings`, never this map
-    index: std::collections::HashMap<Marking, usize>,
+    dist: Distribution,
     /// The time the distribution refers to.
     pub time: f64,
 }
 
 impl TransientSolution {
-    fn new(markings: Vec<Marking>, probs: Vec<f64>, time: f64) -> Self {
-        debug_assert_eq!(markings.len(), probs.len());
-        let index = markings
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), i))
-            .collect();
-        TransientSolution {
-            markings,
-            probs,
-            index,
-            time,
-        }
-    }
-
     /// Iterates over `(marking, probability)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Marking, f64)> {
-        self.markings.iter().zip(self.probs.iter().copied())
+        self.dist.iter()
     }
 
     /// Number of tangible markings.
     pub fn state_count(&self) -> usize {
-        self.markings.len()
+        self.dist.state_count()
     }
 
     /// Probability of the exact marking `m` at this time (0 if unreachable).
+    /// Like [`SteadyState::probability_of_marking`], the first call builds
+    /// the lookup index.
     pub fn probability_of_marking(&self, m: &Marking) -> f64 {
-        self.index.get(m).map_or(0.0, |&i| self.probs[i])
+        self.dist.probability_of_marking(m)
     }
 }
 
 impl ExpectedReward for TransientSolution {
     fn expected_reward<F: Fn(&Marking) -> f64>(&self, reward: F) -> f64 {
-        self.iter().map(|(m, p)| p * reward(m)).sum()
+        self.dist.expected_reward(reward)
     }
 }
 
@@ -151,14 +134,16 @@ pub fn transient_of_graph(
         pi0[s] += p;
     }
 
+    // One copy of the markings serves every time point.
+    let markings: Arc<[Marking]> = graph.markings.as_slice().into();
+    let solution = |probs: Vec<f64>, time: f64| TransientSolution {
+        dist: Distribution::new(Arc::clone(&markings), probs),
+        time,
+    };
     let mut solutions = Vec::with_capacity(times.len());
     for &t in times {
         if t == 0.0 {
-            solutions.push(TransientSolution::new(
-                graph.markings.clone(),
-                pi0.clone(),
-                t,
-            ));
+            solutions.push(solution(pi0.clone(), t));
             continue;
         }
         let lt = lambda * t;
@@ -192,7 +177,7 @@ pub fn transient_of_graph(
                 *a /= total;
             }
         }
-        solutions.push(TransientSolution::new(graph.markings.clone(), acc, t));
+        solutions.push(solution(acc, t));
     }
     Ok(solutions)
 }
