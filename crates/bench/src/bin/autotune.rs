@@ -1,4 +1,4 @@
-//! Measures this host's preferred GEMM/conv tuning (`mvml_nn::tune`) and
+//! Measures this host's preferred GEMM tuning (`mvml_nn::tune`) and
 //! writes the deterministic tuning file consumed via `MVML_TUNE`, plus a
 //! per-candidate sample table for the perf-bench job summary.
 //!
@@ -9,9 +9,10 @@
 //! The persistence format is byte-deterministic for a given winning
 //! tuning (sorted keys, one `key = value` per line), so re-running on an
 //! identical host converges to an identical file. The tuning only moves
-//! dispatch thresholds and cache block sizes — never any computed value —
-//! so adopting (or discarding) the file cannot invalidate committed,
-//! byte-compared artifacts.
+//! GEMM cache block sizes and dispatch thresholds — never any computed
+//! value; the conv direct-vs-GEMM route, which does change bits, is fixed
+//! in `mvml_nn::layers::conv` — so adopting (or discarding) the file cannot
+//! invalidate committed, byte-compared artifacts.
 
 // Experiment drivers, not library code: when a measurement or file write
 // fails there is no caller to recover, so aborting loudly via
@@ -43,9 +44,7 @@ fn main() {
         }
     }
 
-    println!(
-        "autotuning GEMM blocks, stream crossover, conv thresholds ({iters} iters/candidate)..."
-    );
+    println!("autotuning GEMM blocks and stream crossover ({iters} iters/candidate)...");
     let outcome = autotune(iters);
 
     let rows: Vec<Vec<String>> = outcome
@@ -58,12 +57,10 @@ fn main() {
     let default = Tuning::default();
     let chosen = outcome.tuning;
     println!(
-        "chosen: mc={} nc={} stream_max_rows={} conv_gemm_min_oc={} conv_gemm_min_ckk={}{}",
+        "chosen: mc={} nc={} stream_max_rows={}{}",
         chosen.mc,
         chosen.nc,
         chosen.stream_max_rows,
-        chosen.conv_gemm_min_oc,
-        chosen.conv_gemm_min_ckk,
         if chosen == default {
             " (matches built-in defaults)"
         } else {

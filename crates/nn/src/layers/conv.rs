@@ -9,8 +9,8 @@
 //!   `dy · colᵀ` product and the input gradient is a `Wᵀ · dy` product
 //!   scattered back (col2im).
 //! - **Direct path**: the original nested loops, kept as the small-shape
-//!   fallback and as a parity oracle (force it with the `reference` cargo
-//!   feature or [`Conv2d::set_kernel_path`]).
+//!   fallback and as a parity oracle (force it with
+//!   [`Conv2d::set_kernel_path`]).
 //!
 //! Both paths produce gradients verified against numerical differentiation;
 //! forward outputs agree to float tolerance (the two paths sum products in
@@ -23,16 +23,24 @@ use crate::layer::{Layer, Param};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
+/// `Auto` lowers to GEMM only when `out_channels` is at least this ...
+const GEMM_MIN_OC: usize = 12;
+/// ... and the im2col row count `C·K·K` is at least this ...
+const GEMM_MIN_CKK: usize = 32;
+/// ... and the total MACs `OC·CKK·cols` are at least this.
+///
+/// The three thresholds are constants, not host tuning: the two paths sum
+/// products in different orders, so the route decides the bits of every
+/// trained weight and has to be the same on every host.
+const GEMM_MIN_MACS: usize = 1 << 18;
+
 /// Which convolution kernel [`Conv2d`] executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum KernelPath {
     /// Pick per shape: GEMM when the lowered matrix is chunky in every
-    /// dimension per the host tuning thresholds
-    /// ([`crate::tune::Tuning::conv_gemm_min_oc`] /
-    /// [`crate::tune::Tuning::conv_gemm_min_ckk`] /
-    /// [`crate::tune::Tuning::conv_gemm_min_macs`]), direct loops
-    /// otherwise (the `reference` cargo feature forces the direct path
-    /// everywhere).
+    /// dimension (at least 12 output channels, a reduction depth `C·K·K`
+    /// of at least 32 and `2^18` MACs), direct loops otherwise. The
+    /// thresholds are fixed, not host-tuned: the route decides the bits.
     #[default]
     Auto,
     /// Always lower to im2col + GEMM.
@@ -144,20 +152,18 @@ impl Conv2d {
     }
 
     /// `cols` is the batched column count `N·OH·OW`. `Auto` lowers to GEMM
-    /// only when the host tuning ([`crate::tune::active`]) says all three
-    /// thresholds hold: enough output rows that microkernel tiles run
-    /// full, enough reduction depth (`C·K·K`) to amortise the im2col
-    /// build, and enough total MACs to amortise the per-call buffers.
+    /// only when all three thresholds hold: enough output rows that
+    /// microkernel tiles run full, enough reduction depth (`C·K·K`) to
+    /// amortise the im2col build, and enough total MACs to amortise the
+    /// per-call buffers.
     fn use_gemm(&self, ckk: usize, cols: usize) -> bool {
         match self.path {
             KernelPath::Gemm => true,
             KernelPath::Direct => false,
             KernelPath::Auto => {
-                let t = crate::tune::active();
-                !cfg!(feature = "reference")
-                    && self.out_channels >= t.conv_gemm_min_oc
-                    && ckk >= t.conv_gemm_min_ckk
-                    && self.out_channels * ckk * cols >= t.conv_gemm_min_macs
+                self.out_channels >= GEMM_MIN_OC
+                    && ckk >= GEMM_MIN_CKK
+                    && self.out_channels * ckk * cols >= GEMM_MIN_MACS
             }
         }
     }
@@ -740,28 +746,61 @@ mod tests {
 
     #[test]
     fn auto_path_crosses_threshold() {
-        // Pin thresholds so the assertions hold on any host tuning.
-        let pinned = crate::tune::Tuning {
-            conv_gemm_min_oc: 12,
-            conv_gemm_min_ckk: 32,
-            conv_gemm_min_macs: 1 << 18,
-            ..crate::tune::Tuning::default()
+        let mut rng = StdRng::seed_from_u64(9);
+        // Few output channels: direct regardless of how many columns.
+        let conv = Conv2d::new(6, 6, 3, 1, &mut rng);
+        assert!(!conv.use_gemm(54, 1 << 20));
+        // Shallow reduction (single input channel): direct.
+        let conv = Conv2d::new(1, 16, 3, 1, &mut rng);
+        assert!(!conv.use_gemm(9, 1 << 20));
+        // Channel-rich and deep but tiny total work: direct.
+        let conv = Conv2d::new(6, 16, 3, 0, &mut rng);
+        assert!(!conv.use_gemm(54, 100));
+        // Channel-rich, deep, batch-sized columns: GEMM.
+        assert!(conv.use_gemm(54, 32 * 100));
+    }
+
+    #[test]
+    fn routing_and_bits_do_not_depend_on_the_tuning() {
+        // A lenet-shaped second conv (6 -> 16, k3) at training batch 32
+        // with nonzero bias: forward and backward must be bitwise-equal
+        // under the default and an extreme tuning.
+        let run = || {
+            let mut rng = StdRng::seed_from_u64(21);
+            let mut conv = Conv2d::new(6, 16, 3, 0, &mut rng);
+            // The shape routes to GEMM, so every tuning knob is live.
+            assert!(conv.use_gemm(54, 32 * 16));
+            for (i, b) in conv.bias.as_mut_slice().iter_mut().enumerate() {
+                *b = 0.05 * i as f32 - 0.3;
+            }
+            let x = Tensor::from_vec(
+                &[32, 6, 6, 6],
+                (0..32 * 6 * 36)
+                    .map(|i| ((i * 7) % 23) as f32 / 23.0 - 0.4)
+                    .collect(),
+            );
+            let y = conv.forward(&x, true);
+            let g = Tensor::from_vec(
+                y.shape(),
+                (0..y.len()).map(|i| (i % 5) as f32 - 2.0).collect(),
+            );
+            let dx = conv.backward(&g);
+            let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (
+                bits(y.as_slice()),
+                bits(dx.as_slice()),
+                bits(conv.grad_w.as_slice()),
+                bits(conv.grad_b.as_slice()),
+            )
         };
-        crate::tune::with_tuning(pinned, || {
-            let mut rng = StdRng::seed_from_u64(9);
-            // Few output channels: direct regardless of how many columns.
-            let conv = Conv2d::new(6, 6, 3, 1, &mut rng);
-            assert!(!conv.use_gemm(54, 1 << 20));
-            // Shallow reduction (single input channel): direct.
-            let conv = Conv2d::new(1, 16, 3, 1, &mut rng);
-            assert!(!conv.use_gemm(9, 1 << 20));
-            // Channel-rich and deep but tiny total work: direct.
-            let conv = Conv2d::new(6, 16, 3, 0, &mut rng);
-            assert!(!conv.use_gemm(54, 100));
-            // Channel-rich, deep, batch-sized columns: GEMM (unless the
-            // reference feature pins the direct path).
-            assert_eq!(conv.use_gemm(54, 32 * 100), !cfg!(feature = "reference"));
-        });
+        let default = crate::tune::with_tuning(crate::tune::Tuning::default(), run);
+        let extreme = crate::tune::Tuning {
+            mc: 8,
+            nc: 8,
+            stream_max_rows: 0,
+            parallel_macs: 1,
+        };
+        assert_eq!(crate::tune::with_tuning(extreme, run), default);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Measured autotuning for the GEMM dispatch layer.
 //!
 //! [`Tuning`] collects every *safely tunable* knob of the
-//! [`crate::gemm`] kernel and the [`crate::layers::Conv2d`] `Auto` path
-//! router: cache block sizes (`MC`, `NC`), the stream-path row cutoff, the
-//! parallel fan-out threshold, and the conv GEMM-vs-direct thresholds.
-//! None of these change numeric results — the per-element accumulation
-//! order is pinned by the fixed `KC` constant and the KC-blocked loop
-//! order in `gemm` (see its determinism note) — so a host is free to tune
-//! them aggressively without invalidating any committed, byte-compared
-//! artifact.
+//! [`crate::gemm`] kernel: cache block sizes (`MC`, `NC`), the stream-path
+//! row cutoff and the parallel fan-out threshold. None of these change
+//! numeric results — the per-element accumulation order is pinned by the
+//! fixed `KC` constant and the KC-blocked loop order in `gemm` (see its
+//! determinism note) — so a host is free to tune them aggressively without
+//! invalidating any committed, byte-compared artifact. The
+//! [`crate::layers::Conv2d`] direct-vs-GEMM route is deliberately *not*
+//! here: the two paths sum in different orders, so its thresholds are
+//! constants in `layers::conv`.
 //!
 //! Three sources feed [`active`], in priority order:
 //!
@@ -25,24 +26,15 @@
 //! loudly).
 //!
 //! [`autotune`] performs the actual measurement: it times candidate block
-//! sizes, the stream/packed crossover, and conv path crossovers on
-//! representative layer shapes, returning the winning [`Tuning`] plus the
-//! raw samples for reporting. It is the fix for the two honest defects in
-//! the committed baseline: conv1's `Auto` route losing to direct loops
-//! (the stream path plus measured thresholds), and negative GEMM thread
-//! scaling (the shared packed-B parallel driver, whose profitability
-//! threshold is tuned here).
+//! sizes and the stream/packed crossover on representative shapes,
+//! returning the winning [`Tuning`] plus the raw samples for reporting.
 
 use crate::gemm;
-use crate::layers::{Conv2d, KernelPath};
-use crate::tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Safely tunable parameters of the GEMM kernel and conv path router.
+/// Safely tunable parameters of the GEMM kernel.
 ///
 /// Every field may vary per host without changing any computed value; see
 /// the module docs for why.
@@ -60,13 +52,6 @@ pub struct Tuning {
     /// inside another fan-out (a serve shard, a perception version) has a
     /// thread budget of 1 and always runs inline.
     pub parallel_macs: usize,
-    /// `Conv2d` `Auto` lowers to GEMM only when `out_channels` is at
-    /// least this.
-    pub conv_gemm_min_oc: usize,
-    /// ... and the im2col row count `C·K·K` is at least this.
-    pub conv_gemm_min_ckk: usize,
-    /// ... and the total MACs `OC·CKK·cols` are at least this.
-    pub conv_gemm_min_macs: usize,
 }
 
 impl Default for Tuning {
@@ -76,9 +61,6 @@ impl Default for Tuning {
             nc: 256,
             stream_max_rows: 8,
             parallel_macs: 1 << 17,
-            conv_gemm_min_oc: 12,
-            conv_gemm_min_ckk: 32,
-            conv_gemm_min_macs: 1 << 18,
         }
     }
 }
@@ -89,20 +71,11 @@ impl Tuning {
     pub fn to_config_string(&self) -> String {
         format!(
             "# mvml-nn tuning (written by nn::tune; read via MVML_TUNE)\n\
-             conv_gemm_min_ckk = {}\n\
-             conv_gemm_min_macs = {}\n\
-             conv_gemm_min_oc = {}\n\
              mc = {}\n\
              nc = {}\n\
              parallel_macs = {}\n\
              stream_max_rows = {}\n",
-            self.conv_gemm_min_ckk,
-            self.conv_gemm_min_macs,
-            self.conv_gemm_min_oc,
-            self.mc,
-            self.nc,
-            self.parallel_macs,
-            self.stream_max_rows,
+            self.mc, self.nc, self.parallel_macs, self.stream_max_rows,
         )
     }
 
@@ -128,9 +101,6 @@ impl Tuning {
                 "nc" => t.nc = value,
                 "stream_max_rows" => t.stream_max_rows = value,
                 "parallel_macs" => t.parallel_macs = value,
-                "conv_gemm_min_oc" => t.conv_gemm_min_oc = value,
-                "conv_gemm_min_ckk" => t.conv_gemm_min_ckk = value,
-                "conv_gemm_min_macs" => t.conv_gemm_min_macs = value,
                 other => return Err(format!("line {}: unknown key `{other}`", lineno + 1)),
             }
         }
@@ -149,7 +119,7 @@ static OVERRIDE_ACTIVE: AtomicBool = AtomicBool::new(false);
 /// [`crate::parallel::with_thread_count`]; not reentrant).
 static GUARD: Mutex<()> = Mutex::new(());
 
-/// The tuning every GEMM/conv dispatch decision resolves on call: an
+/// The tuning every GEMM dispatch decision resolves on call: an
 /// active [`with_tuning`] override, else the process default (`MVML_TUNE`
 /// file when set, built-in defaults otherwise).
 ///
@@ -189,8 +159,9 @@ impl Drop for RestoreTuning {
 /// Runs `f` with [`active`] forced to `t`. Process-wide (affects
 /// concurrent GEMMs), serialized against other `with_tuning` callers, and
 /// **not reentrant** — nesting deadlocks by design rather than silently
-/// interleaving overrides. Numeric results never depend on the tuning, so
-/// cross-thread interference is a performance effect only.
+/// interleaving overrides. Numeric results never depend on the tuning
+/// (conv routing included: its thresholds are constants), so cross-thread
+/// interference is a performance effect only.
 pub fn with_tuning<R>(t: Tuning, f: impl FnOnce() -> R) -> R {
     let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let prev = {
@@ -259,8 +230,7 @@ fn fill(len: usize, seed: u64) -> Vec<f32> {
 /// `budget_iters` scales every timing loop; `12` is a good quick setting
 /// (~a second), larger values average out more scheduler noise. The
 /// search is greedy and per-knob: cache blocks first (packed path),
-/// then the stream/packed row crossover, then the conv path thresholds on
-/// representative layer shapes.
+/// then the stream/packed row crossover.
 pub fn autotune(budget_iters: usize) -> AutotuneOutcome {
     let iters = budget_iters.max(3);
     let mut samples = Vec::new();
@@ -279,7 +249,6 @@ pub fn autotune(budget_iters: usize) -> AutotuneOutcome {
                 nc,
                 stream_max_rows: 0,
                 parallel_macs: usize::MAX,
-                ..chosen
             };
             let ns = with_tuning(t, || time_ns(iters, || gemm::gemm(m, k, n, &a, &b, &mut c)));
             samples.push(Sample {
@@ -335,75 +304,10 @@ pub fn autotune(budget_iters: usize) -> AutotuneOutcome {
     }
     chosen.stream_max_rows = cutoff.max(1);
 
-    // --- conv Auto thresholds: GEMM vs direct on layer-like shapes ---
-    // Vary the out-channel count on a conv1-like layer (ic=1, k=5, 32²):
-    // the smallest OC where forced-GEMM beats direct becomes the floor.
-    let mut rng = StdRng::seed_from_u64(0xA11CE);
-    let x1 = Tensor::zeros(&[1, 1, 32, 32]);
-    let mut min_oc = usize::MAX;
-    for oc in [2usize, 4, 6, 8, 12] {
-        let g = time_conv(1, oc, 5, 1, &x1, KernelPath::Gemm, iters, &mut rng);
-        let d = time_conv(1, oc, 5, 1, &x1, KernelPath::Direct, iters, &mut rng);
-        samples.push(Sample {
-            label: format!("conv_gemm(oc={oc})"),
-            ns_per_iter: g,
-        });
-        samples.push(Sample {
-            label: format!("conv_direct(oc={oc})"),
-            ns_per_iter: d,
-        });
-        if g <= d && oc < min_oc {
-            min_oc = oc;
-        }
-    }
-    if min_oc != usize::MAX {
-        chosen.conv_gemm_min_oc = min_oc;
-    }
-    // Vary C·K·K at a fixed healthy OC (ic/k sweep on 32² input).
-    let mut min_ckk = usize::MAX;
-    for (ic, ksz) in [(1usize, 3usize), (1, 5), (4, 3), (4, 5)] {
-        let ckk = ic * ksz * ksz;
-        let x = Tensor::zeros(&[1, ic, 32, 32]);
-        let g = time_conv(ic, 8, ksz, 1, &x, KernelPath::Gemm, iters, &mut rng);
-        let d = time_conv(ic, 8, ksz, 1, &x, KernelPath::Direct, iters, &mut rng);
-        samples.push(Sample {
-            label: format!("conv_gemm(ckk={ckk})"),
-            ns_per_iter: g,
-        });
-        samples.push(Sample {
-            label: format!("conv_direct(ckk={ckk})"),
-            ns_per_iter: d,
-        });
-        if g <= d && ckk < min_ckk {
-            min_ckk = ckk;
-        }
-    }
-    if min_ckk != usize::MAX {
-        chosen.conv_gemm_min_ckk = min_ckk;
-    }
-
     AutotuneOutcome {
         tuning: chosen,
         samples,
     }
-}
-
-/// Times one forward pass of a fresh conv layer with a forced path.
-#[allow(clippy::too_many_arguments)]
-fn time_conv(
-    ic: usize,
-    oc: usize,
-    ksz: usize,
-    pad: usize,
-    x: &Tensor,
-    path: KernelPath,
-    iters: usize,
-    rng: &mut StdRng,
-) -> f64 {
-    let mut conv = Conv2d::new(ic, oc, ksz, pad, rng);
-    conv.set_kernel_path(path);
-    use crate::layer::Layer;
-    time_ns(iters, || conv.forward(x, false))
 }
 
 #[cfg(test)]
@@ -417,9 +321,6 @@ mod tests {
             nc: 512,
             stream_max_rows: 6,
             parallel_macs: 99,
-            conv_gemm_min_oc: 2,
-            conv_gemm_min_ckk: 25,
-            conv_gemm_min_macs: 12345,
         };
         let text = t.to_config_string();
         let back = Tuning::parse_config(&text).expect("round trip");
