@@ -113,12 +113,18 @@ gate_dspn_artefacts() {
   # des_cross_check simulated/half_width/within_ci), so those cells are
   # masked on both sides. ext_transient is analytic and was generated with
   # `3000 8`; ext_ablations mixes in a simulated table and is not compared.
+  # Table II (the trained classifiers' accuracies, the p/p'/α they feed into
+  # the DSPNs, and the int8 Δp) is deterministic for any thread count and is
+  # compared whole.
   echo "== dspn artefacts: analytic results/* re-derived from the DSPNs =="
   local dir="target/dspn-artefacts"
   rm -rf "$dir"
   mkdir -p "$dir"
   cargo build -q --release -p mvml-bench --bin fig4_sweeps \
-    --bin table3_states --bin table5_reliability --bin nscale --bin ext_transient
+    --bin table3_states --bin table5_reliability --bin nscale --bin ext_transient \
+    --bin table2_accuracy
+  target/release/table2_accuracy >"$dir/table2_accuracy.txt" 2>/dev/null
+  cmp "$dir/table2_accuracy.txt" results/table2_accuracy.txt
   target/release/fig4_sweeps all 13 >"$dir/fig4_sweeps.csv" 2>/dev/null
   cmp "$dir/fig4_sweeps.csv" results/fig4_sweeps.csv
   target/release/table3_states >"$dir/table3_states.txt" 2>/dev/null
@@ -152,7 +158,7 @@ for name, path, mask in [
     fresh = open(f"{fresh_dir}/{path}", encoding="utf-8").read()
     committed = open(f"results/{name}", encoding="utf-8").read()
     compare(name, fresh, committed, mask)
-print("fig4_sweeps, table3_states, ext_transient, table5 + nscale (analytic): byte-identical")
+print("table2_accuracy, fig4_sweeps, table3_states, ext_transient, table5 + nscale (analytic): byte-identical")
 PY
   rm -rf "$dir"
 }

@@ -79,11 +79,12 @@ fn main() {
     );
     println!("  α      = {:.9}   [0.369952542]  (Eq. 9)", cal.alpha);
 
-    // Int8 deployment: quantize each calibrated model, re-measure accuracy,
-    // and fold the measured drop into p/p' so the speed/reliability
+    // Int8 deployment: compile each calibrated model into the int8 plan the
+    // fast path runs (activation scales from the training split), re-measure
+    // accuracy, and fold the measured drop into p/p' so the speed/reliability
     // trade-off of the fast path is visible in the same DSPN terms.
     println!("\nInt8 post-training quantization (nn::quant) — measured impact:\n");
-    let impact = quantization_impact(&cal, 64, 64);
+    let impact = quantization_impact(&cal, 64);
     let qrows: Vec<Vec<String>> = impact
         .rows
         .iter()

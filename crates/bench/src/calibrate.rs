@@ -8,6 +8,7 @@ use mvml_faultinject::{random_weight_inj, undo};
 use mvml_nn::metrics::{alpha_mean, alpha_pair, error_set};
 use mvml_nn::models::three_versions;
 use mvml_nn::parallel;
+use mvml_nn::quant::{activation_scales, Int8Plan};
 use mvml_nn::signs::{generate, SignConfig};
 use mvml_nn::train::{train_classifier, TrainConfig};
 use mvml_nn::{Dataset, Sequential};
@@ -107,6 +108,8 @@ pub struct Calibration {
     pub alpha: f64,
     /// The trained healthy models (for downstream empirical checks).
     pub trained_models: Vec<Sequential>,
+    /// The training set (int8 activation calibration draws from it).
+    pub train: Dataset,
     /// The held-out test set.
     pub test: Dataset,
 }
@@ -233,6 +236,7 @@ pub fn calibrate(cfg: &CalibrationConfig) -> Calibration {
         alpha_pairs,
         alpha,
         trained_models: models,
+        train,
         test,
     }
 }
@@ -244,7 +248,7 @@ pub struct QuantizedModelRow {
     pub name: String,
     /// Healthy f32 test accuracy (from the Table II calibration).
     pub f32_accuracy: f64,
-    /// Test accuracy of the int8-quantized mirror.
+    /// Test accuracy of the model's [`Int8Plan`].
     pub int8_accuracy: f64,
 }
 
@@ -274,41 +278,38 @@ impl QuantizationImpact {
     }
 }
 
-/// Quantizes each calibrated model ([`mvml_nn::quant`]) and re-measures
-/// its test accuracy, returning the measured Δp. Activation scales are
-/// calibrated on the first `calibration_samples` test inputs.
+/// Compiles each calibrated model into an [`Int8Plan`] — the engine the
+/// int8 fast path runs — and re-measures its test accuracy, returning the
+/// measured Δp. Activation scales are calibrated on the first
+/// `calibration_samples` *training* inputs, so the scored test split stays
+/// unseen.
 ///
 /// # Panics
 ///
 /// Panics if `calibration_samples` is zero.
-pub fn quantization_impact(
-    cal: &Calibration,
-    calibration_samples: usize,
-    batch: usize,
-) -> QuantizationImpact {
+pub fn quantization_impact(cal: &Calibration, calibration_samples: usize) -> QuantizationImpact {
     assert!(calibration_samples > 0, "need calibration inputs");
-    let idx: Vec<usize> = (0..calibration_samples.min(cal.test.len())).collect();
-    let (calib_x, _) = cal.test.batch(&idx);
+    let idx: Vec<usize> = (0..calibration_samples.min(cal.train.len())).collect();
+    let (calib_x, _) = cal.train.batch(&idx);
+    let shape: Vec<usize> = std::iter::once(1)
+        .chain(cal.test.sample_shape().iter().copied())
+        .collect();
+    let sample_len: usize = shape.iter().product();
     let rows: Vec<QuantizedModelRow> = cal
         .trained_models
         .iter()
         .zip(&cal.models)
         .map(|(model, row)| {
-            let mut q = mvml_nn::quant::QuantizedSequential::quantize(
-                model,
-                std::slice::from_ref(&calib_x),
-            );
-            let mut correct = 0usize;
-            let all: Vec<usize> = (0..cal.test.len()).collect();
-            for chunk in all.chunks(batch.max(1)) {
-                let (x, y) = cal.test.batch(chunk);
-                correct += q
-                    .predict(&x)
-                    .iter()
-                    .zip(&y)
-                    .filter(|(pred, want)| pred == want)
-                    .count();
-            }
+            let scales = activation_scales(model, std::slice::from_ref(&calib_x));
+            let mut plan = Int8Plan::compile(model, &scales, &shape);
+            let correct = cal
+                .test
+                .images()
+                .as_slice()
+                .chunks_exact(sample_len)
+                .zip(cal.test.labels())
+                .filter(|(x, &want)| plan.predict(x) == want)
+                .count();
             QuantizedModelRow {
                 name: row.name.clone(),
                 f32_accuracy: row.healthy_accuracy,
@@ -387,7 +388,7 @@ mod tests {
         // The int8 campaign hook: quantization may cost accuracy, the
         // penalty lands in Δp, and the shifted parameters stay valid for
         // the reliability model.
-        let impact = quantization_impact(&cal, 32, 64);
+        let impact = quantization_impact(&cal, 32);
         assert_eq!(impact.rows.len(), 3);
         for r in &impact.rows {
             assert!(
